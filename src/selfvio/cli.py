@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -234,15 +235,23 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _read_velocities(path):
-    rows = dataio._read_csv(path, "t,vcx,vcy,vcz")
-    arr = np.array([[float(x) for x in r] for r in rows])
+def _read_velocities(path, header):
+    arr = dataio._read_floats(path, header)
     return arr[:, 0], arr[:, 1:4]
+
+
+def _rpm_at_imu(ds: dataio.DatasetBundle):
+    """Motor RPM sampled at the IMU timestamps."""
+    rpm = ds.motors.rpm
+    if len(rpm) != len(ds.imu.t):
+        k = np.clip(np.searchsorted(ds.motors.t, ds.imu.t), 0, len(rpm) - 1)
+        rpm = rpm[k]
+    return rpm
 
 
 def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, seq_id=None,
                            attitude="ekf"):
-    cam_t, v_cam = _read_velocities(vel_path)
+    cam_t, v_cam = _read_velocities(vel_path, "t,vcx,vcy,vcz")
     if attitude == "groundtruth":
         if ds.groundtruth is None:
             raise dataio.DatasetError("dataset has no groundtruth.csv")
@@ -256,13 +265,9 @@ def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, seq_id=None,
         quats, g_b = att.run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
     else:
         raise ConfigError("attitude must be 'ekf' or 'groundtruth'")
-    rpm = ds.motors.rpm
-    if len(rpm) != len(ds.imu.t):
-        k = np.clip(np.searchsorted(ds.motors.t, ds.imu.t), 0, len(rpm) - 1)
-        rpm = rpm[k]
     return dronemodel.TrainSequence(
         seq_id=seq_id or ds.manifest.sequence_id,
-        t=ds.imu.t, gyro=ds.imu.gyro, accel=ds.imu.accel, rpm=rpm,
+        t=ds.imu.t, gyro=ds.imu.gyro, accel=ds.imu.accel, rpm=_rpm_at_imu(ds),
         g_body=g_b, cam_t=cam_t, v_cam=v_cam, R_cb=ds.manifest.R_cb)
 
 
@@ -357,35 +362,23 @@ def cmd_fuse(args):
     weights = [float(w) for w in cfg["weights"].split(",")]
     rates = [float(r) for r in cfg["rates"].split(",")]
     gt_traj = evalign.TrajectoryEstimate(t=gt["t"][::5], pos=gt["pos"][::5])
+    rpm = _rpm_at_imu(ds)
 
-    combos = [(rate, w, seed) for rate in rates for w in weights
-              for seed in range(cfg["seeds"])]
-
-    def one(combo):
-        rate, w, seed = combo
+    entries, last = [], None
+    for rate, w, seed in itertools.product(rates, weights, range(cfg["seeds"])):
         fc = fusion.FusionConfig(model_weight=w, update_rate=rate,
                                  vis_noise_std=cfg["vis_noise_std"],
                                  accel_noise_std=cfg["accel_noise_std"])
         vis_t, vis_v = fusion.make_visual_measurements(
             ds.frames.t, vel_b_true[cam_idx], fc, seed=seed,
             dropout_windows=drops)
-        res = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro,
-                                ds.motors.rpm, R_wb, vis_t, vis_v,
-                                model, fc, p0=gt["pos"][0], v0=gt["vel_w"][0])
-        est = evalign.TrajectoryEstimate(t=res.t[::5], pos=res.pos[::5])
-        return evalign.position_rmse(est, gt_traj, mode=cfg["align"]), res
+        last = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro, rpm,
+                                 R_wb, vis_t, vis_v, model, fc,
+                                 p0=gt["pos"][0], v0=gt["vel_w"][0])
+        est = evalign.TrajectoryEstimate(t=last.t[::5], pos=last.pos[::5])
+        entries.append((rate, w, seed,
+                        evalign.position_rmse(est, gt_traj, mode=cfg["align"])))
 
-    last = None
-    if getattr(args, "jobs", 1) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, combos))
-    else:
-        results = [one(c) for c in combos]
-    entries = []
-    for (rate, w, seed), (rmse, res) in zip(combos, results):
-        entries.append((rate, w, seed, rmse))
-        last = res
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "sweep.csv"), fusion.sweep_csv_rows(entries))
     if last is not None:
@@ -406,28 +399,8 @@ def cmd_fuse(args):
 EVAL_DEFAULTS = {"mode": "sim3", "bin_width": 1.0, "speed_floor": 0.5}
 
 
-def _read_velocity_csv(path):
-    if not os.path.exists(path):
-        raise dataio.MissingFileError(path)
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if lines[0] != "t,vx,vy,vz":
-        raise dataio.FormatError(f"{path}: expected header t,vx,vy,vz")
-    arr = np.array([[float(x) for x in r.split(",")] for r in lines[1:]])
-    return arr[:, 0], arr[:, 1:4]
-
-
 def _read_trajectory_csv(path):
-    if not os.path.exists(path):
-        raise dataio.MissingFileError(path)
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    cols = lines[0].split(",")
-    try:
-        sel = [cols.index(k) for k in ("t", "px", "py", "pz")]
-    except ValueError:
-        raise dataio.FormatError(f"{path}: need t,px,py,pz columns") from None
-    arr = np.array([[float(r.split(",")[i]) for i in sel] for r in lines[1:]])
+    arr = dataio._read_floats(path, ("t", "px", "py", "pz"))
     return evalign.TrajectoryEstimate(t=arr[:, 0], pos=arr[:, 1:4])
 
 
@@ -453,7 +426,7 @@ def cmd_eval(args):
             raise ConfigError("--vel-est needs a dataset directory as --gt")
         ds = dataio.load_sequence(args.gt)
         gtd = ds.groundtruth
-        vt, vb = _read_velocity_csv(args.vel_est)
+        vt, vb = _read_velocities(args.vel_est, "t,vx,vy,vz")
         R_gt = np.stack([quat_to_matrix(q) for q in gtd["quat_wb"]])
         vb_gt = np.einsum("nij,nj->ni", R_gt.transpose(0, 2, 1), gtd["vel_w"])
         idx = np.clip(np.searchsorted(gtd["t"], vt), 0, len(gtd["t"]) - 1)
@@ -510,7 +483,7 @@ def build_parser():
     f.add_argument("--out", required=True)
     f.add_argument("--config")
     f.add_argument("--jobs", type=int, default=1,
-                   help="parallel sweep workers (results stay ordered)")
+                   help="accepted for compatibility; has no effect")
     f.set_defaults(fn=cmd_fuse)
 
     v = sub.add_parser("eval", help="trajectory metrics")

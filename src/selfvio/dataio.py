@@ -111,13 +111,39 @@ def _cell(x):
 
 
 def _read_csv(path, expect_header):
+    """Data rows of a headed CSV as lists of strings.
+
+    `expect_header` is the exact header line, or a tuple of column names
+    the header must contain; then each row keeps just those columns, in
+    that order.
+    """
     if not os.path.exists(path):
         raise MissingFileError(path)
     with open(path, "r", encoding="ascii") as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or lines[0] != expect_header:
+    pick = not isinstance(expect_header, str)
+    header = lines[0].split(",") if lines else []
+    if not lines or (not set(expect_header) <= set(header) if pick
+                     else lines[0] != expect_header):
         raise FormatError(f"{path}: expected header {expect_header!r}")
-    return [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(r) != len(header) for r in rows):
+        raise FormatError(f"{path}: a row's length differs from the header's")
+    if pick:
+        sel = [header.index(k) for k in expect_header]
+        rows = [[r[i] for i in sel] for r in rows]
+    return rows
+
+
+def _read_floats(path, expect_header):
+    """`_read_csv` parsed to a float64 (rows, columns) array."""
+    rows = _read_csv(path, expect_header)
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    try:
+        return np.array([[float(x) for x in r] for r in rows])
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def _check_monotone(t, stream):
@@ -316,21 +342,18 @@ def load_sequence(root) -> DatasetBundle:
     frames = FrameIndex(t=ft, image_files=[r[1] for r in rows],
                         depth_files=[r[2] for r in rows])
 
-    rows = _read_csv(os.path.join(root, "imu.csv"), "t,gx,gy,gz,ax,ay,az")
-    arr = np.array([[float(x) for x in r] for r in rows])
+    arr = _read_floats(os.path.join(root, "imu.csv"), "t,gx,gy,gz,ax,ay,az")
     _check_monotone(arr[:, 0], "imu.csv")
     imu = ImuStream(t=arr[:, 0], gyro=arr[:, 1:4], accel=arr[:, 4:7]).validate()
 
-    rows = _read_csv(os.path.join(root, "motors.csv"), "t,rpm1,rpm2,rpm3,rpm4")
-    arr = np.array([[float(x) for x in r] for r in rows])
+    arr = _read_floats(os.path.join(root, "motors.csv"), "t,rpm1,rpm2,rpm3,rpm4")
     _check_monotone(arr[:, 0], "motors.csv")
     motors = MotorStream(t=arr[:, 0], rpm=arr[:, 1:5]).validate()
 
     gt = None
     gt_path = os.path.join(root, "groundtruth.csv")
     if os.path.exists(gt_path):
-        rows = _read_csv(gt_path, "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz")
-        arr = np.array([[float(x) for x in r] for r in rows])
+        arr = _read_floats(gt_path, "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz")
         _check_monotone(arr[:, 0], "groundtruth.csv")
         gt = {"t": arr[:, 0], "pos": arr[:, 1:4], "quat_wb": arr[:, 4:8],
               "vel_w": arr[:, 8:11]}

@@ -37,6 +37,9 @@ MODEL_FORMAT = "selfvio-drone-model"
 MODEL_VERSION = 1
 
 _STD_FLOOR = 1e-3
+# (d_x, d_y, eps) = (2, 2, 10) sigmoid(z) - (0, 0, 5) = _OUT_GAIN tanh(z/2) + _OUT_MID
+_OUT_GAIN = np.array([1.0, 1.0, 5.0])
+_OUT_MID = np.array([1.0, 1.0, 0.0])
 
 
 class DivergenceError(RuntimeError):
@@ -120,52 +123,97 @@ def load_params(path) -> DroneModelParams:
 # MLP forward/backward
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _mlp_forward(params: DroneModelParams, x_raw):
     """x_raw: (B, 11) -> outputs (B, 3) = (d_x, d_y, eps) plus cache."""
     xn = (x_raw - params.norm_mean) / np.maximum(params.norm_std, _STD_FLOOR)
     h = xn
     acts = [xn]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.tanh(h @ W.T + b)
+        h = np.tanh(np.dot(h, W.T) + b)   # np.dot: less per-call cost than @
         acts.append(h)
-    o = _sigmoid(h @ params.weights[-1].T + params.biases[-1])
-    out = np.stack([2.0 * o[:, 0], 2.0 * o[:, 1], 10.0 * o[:, 2] - 5.0], axis=-1)
-    return out, (acts, o)
+    th = np.tanh(0.5 * (np.dot(h, params.weights[-1].T) + params.biases[-1]))
+    return th * _OUT_GAIN + _OUT_MID, (acts, th)
 
 
-def _mlp_backward(params: DroneModelParams, cache, d_out, grads):
-    """Accumulate weight/bias grads into `grads`; return grad w.r.t. x_raw."""
-    acts, o = cache
-    do = d_out * np.array([2.0, 2.0, 10.0])
-    dz = do * o * (1.0 - o)
+def _mlp_backward(params: DroneModelParams, cache, d_out):
+    """Reverse of `_mlp_forward`: the grad w.r.t. x_raw, and dzs[li], the
+    grad at layer li's pre-activation (for `_add_mlp_grads`)."""
+    acts, th = cache
+    dz = d_out * (0.5 * _OUT_GAIN) * (1.0 - th * th)
+    dzs = [None] * len(params.weights)
     for li in range(len(params.weights) - 1, -1, -1):
-        grads["weights"][li] += dz.T @ acts[li]
-        grads["biases"][li] += dz.sum(axis=0)
-        dh = dz @ params.weights[li]
+        dzs[li] = dz
+        dh = np.dot(dz, params.weights[li])
         if li == 0:
-            return dh / np.maximum(params.norm_std, _STD_FLOOR)
+            return dh / np.maximum(params.norm_std, _STD_FLOOR), dzs
         dz = dh * (1.0 - acts[li] ** 2)
+
+
+def _add_mlp_grads(grads, calls):
+    """Add the weight and bias grads of a run of MLP calls into `grads`, one
+    matrix product per layer; calls[k] = (acts of `_mlp_forward`, dzs)."""
+    for li in range(len(grads["weights"])):
+        dz = np.concatenate([dzs[li] for _, dzs in calls])
+        act = np.concatenate([acts[li] for acts, _ in calls])
+        grads["weights"][li] += dz.T @ act
+        grads["biases"][li] += dz.sum(axis=0)
+
+
+def _features(vb, az, gyro, rpm):
+    """The MLP input rows (B, 11) from vb (B,3), az (B,), gyro (B,3) and
+    rpm (B,4): the one place that knows the feature order."""
+    return np.concatenate([vb, az[:, None], gyro, rpm], axis=1)
 
 
 def model_forward(params: DroneModelParams, vb, accel_z, gyro, rpm):
     """Single-sample drag/residual prediction: (d_x, d_y, eps_az)."""
-    x = np.concatenate([np.asarray(vb, dtype=np.float64).ravel(),
-                        [float(accel_z)],
-                        np.asarray(gyro, dtype=np.float64).ravel(),
-                        np.asarray(rpm, dtype=np.float64).ravel()])
-    if x.shape != (11,) or not np.all(np.isfinite(x)):
+    x = _features(np.asarray(vb, dtype=np.float64).reshape(1, -1),
+                  np.array([float(accel_z)]),
+                  np.asarray(gyro, dtype=np.float64).reshape(1, -1),
+                  np.asarray(rpm, dtype=np.float64).reshape(1, -1))
+    if x.shape != (1, 11) or not np.all(np.isfinite(x)):
         raise ContractViolation("model_forward expects 11 finite inputs")
-    out, _ = _mlp_forward(params, x[None, :])
+    out, _ = _mlp_forward(params, x)
     return float(out[0, 0]), float(out[0, 1]), float(out[0, 2])
+
+
+# --------------------------------------------------------------------------
+# velocity recurrence
+
+
+def _specific_force(params: DroneModelParams, vb, az, gyro, rpm):
+    """The model's specific force for a batch: the bracket
+    (-d_x vb_x, -d_y vb_y, a_z - eps) of the recurrence, shape (B, 3),
+    plus the cache its reverse needs."""
+    out, mlp_cache = _mlp_forward(params, _features(vb, az, gyro, rpm))
+    f = -out * vb
+    f[:, 2] = az - out[:, 2]
+    return f, (vb, out, mlp_cache)
+
+
+def _velocity_step(params: DroneModelParams, vb, az, gyro, rpm, g_b, dt, R_step):
+    """One IMU step of the recurrence for B states at once.
+
+    vb, gyro, g_b: (B,3); az, dt: (B,); rpm: (B,4); R_step: (B,3,3).
+    Returns vb' = R_step^T (vb + (f + g_b) dt), the bracket f and the
+    cache for `_velocity_step_vjp`.
+    """
+    f, cache = _specific_force(params, vb, az, gyro, rpm)
+    u = vb + (f + g_b) * dt[:, None]
+    return np.einsum("bji,bj->bi", R_step, u), f, cache
+
+
+def _velocity_step_vjp(params: DroneModelParams, cache, R_step, dt, lam):
+    """Reverse of `_velocity_step`: lam = dL/dvb' (B,3) -> dL/dvb, plus
+    the step's MLP dzs for `_add_mlp_grads`."""
+    vb, out, mlp_cache = cache
+    du = np.einsum("bij,bj->bi", R_step, lam)
+    df = du * dt[:, None]
+    d_out = -df
+    d_out[:, :2] *= vb[:, :2]
+    dx_raw, dzs = _mlp_backward(params, mlp_cache, d_out)
+    du[:, :2] -= out[:, :2] * df[:, :2]
+    return du + dx_raw[:, :3], dzs
 
 
 # --------------------------------------------------------------------------
@@ -263,22 +311,18 @@ def rollout(params: DroneModelParams, prep: PreparedSequence, vb0,
         horizon = n - start
     if start < 0 or start + horizon > n:
         raise ContractViolation("rollout horizon exceeds the sequence")
-    vb = np.asarray(vb0, dtype=np.float64).copy()
     vel = np.empty((horizon + 1, 3))
     sf = np.empty((horizon, 3))
-    vel[0] = vb
+    vel[0] = vb0
+    vb = vel[:1].copy()
     for j in range(horizon):
-        i = start + j
-        x = np.concatenate([vb, [prep.az[i]], prep.gyro[i], prep.rpm[i]])
-        out, _ = _mlp_forward(params, x[None, :])
-        dx, dy, eps = out[0]
-        f = np.array([-dx * vb[0], -dy * vb[1], prep.az[i] - eps])
-        u = vb + (f + prep.g_b[i]) * prep.dt[i]
-        vb = prep.R_step[i].T @ u
+        i = slice(start + j, start + j + 1)
+        vb, f, _ = _velocity_step(params, vb, prep.az[i], prep.gyro[i], prep.rpm[i],
+                                  prep.g_b[i], prep.dt[i], prep.R_step[i])
         if not np.all(np.isfinite(vb)):
-            raise DivergenceError(f"rollout diverged at step {i}")
-        vel[j + 1] = vb
-        sf[j] = f
+            raise DivergenceError(f"rollout diverged at step {start + j}")
+        vel[j + 1] = vb[0]
+        sf[j] = f[0]
     return VelocityRollout(t=prep.t[start:start + horizon + 1], vel=vel, specific_force=sf)
 
 
@@ -294,6 +338,50 @@ def _zero_grads(params):
     }
 
 
+_STEP_INPUTS = ("az", "gyro", "rpm", "g_b", "dt", "R_step")   # `_velocity_step` order
+# rows per weight-grad product in `_window_vjp`: enough to spare the recurrence
+# its per-step cost, few enough that BLAS keeps a 45 x 96 x 45 product on one thread
+_GRAD_ROWS = 96
+
+
+def _run_window(params: DroneModelParams, vb, az, gyro, rpm, g_b, dt, R_step):
+    """Roll `_velocity_step` over a window of L steps for B states.
+
+    The step inputs are time-major, (L, B, ...). Returns the states
+    (L+1, B, 3), vb first, and the per-step caches for `_window_vjp`.
+    """
+    vel = np.empty((len(dt) + 1,) + vb.shape)
+    vel[0] = vb
+    caches = []
+    for j in range(len(dt)):
+        vb, _, cache = _velocity_step(params, vb, az[j], gyro[j], rpm[j],
+                                      g_b[j], dt[j], R_step[j])
+        caches.append(cache)
+        vel[j + 1] = vb
+    return vel, caches
+
+
+def _window_vjp(params: DroneModelParams, caches, dt, R_step, dvel, grads):
+    """Reverse of `_run_window`: dvel (L+1, B, 3) = dL/d(states) -> dL/dvb.
+
+    MLP weight and bias grads accumulate into `grads`, one matrix product
+    per block of about `_GRAD_ROWS` rows. The caches are consumed on the
+    way, so memory falls as the reverse runs.
+    """
+    lam = dvel[-1]
+    per = max(1, _GRAD_ROWS // lam.shape[0])
+    block = []
+    for j in range(len(caches) - 1, -1, -1):
+        cache = caches.pop()
+        dvb, dzs = _velocity_step_vjp(params, cache, R_step[j], dt[j], lam)
+        lam = dvb + dvel[j]
+        block.append((cache[2][0], dzs))
+        if len(block) == per or j == 0:
+            _add_mlp_grads(grads, block)
+            block = []
+    return lam
+
+
 def window_loss_and_grads(params: DroneModelParams, prep: PreparedSequence,
                           k0: int, n_steps: int, grads=None):
     """Loss and gradients of one teacher-anchored window.
@@ -301,12 +389,13 @@ def window_loss_and_grads(params: DroneModelParams, prep: PreparedSequence,
     The window starts at teacher sample k0 (vb0 = s * base[k0]) and rolls
     n_steps IMU steps; the loss is the per-component MSE against every
     teacher sample falling inside the window. Gradients accumulate into
-    `grads` (weights, biases, and the sequence's scale).
+    `grads` (weights, biases, and the sequence's scale). Training uses
+    `_batched_windows_loss_and_grads`; this single-window form is the
+    reference that the finite-difference checks hold it to.
     """
     s = params.scales[prep.seq_id]
     i0 = int(prep.sample_step[k0])
     i1 = min(i0 + n_steps, len(prep.dt))
-    n_steps = i1 - i0
 
     in_win = (prep.sample_step > i0) & (prep.sample_step <= i1)
     ks = np.nonzero(in_win)[0]
@@ -315,47 +404,21 @@ def window_loss_and_grads(params: DroneModelParams, prep: PreparedSequence,
     targets = s * prep.base_vel[ks]
     local = prep.sample_step[ks] - i0   # step index of each loss sample
 
-    vb = s * prep.base_vel[k0]
-    vel = np.empty((n_steps + 1, 3))
-    vel[0] = vb
-    caches = []
-    for j in range(n_steps):
-        i = i0 + j
-        x = np.concatenate([vb, [prep.az[i]], prep.gyro[i], prep.rpm[i]])
-        out, cache = _mlp_forward(params, x[None, :])
-        dx, dy, eps = out[0]
-        f = np.array([-dx * vb[0], -dy * vb[1], prep.az[i] - eps])
-        u = vb + (f + prep.g_b[i]) * prep.dt[i]
-        caches.append((vb.copy(), out[0].copy(), cache))
-        vb = prep.R_step[i].T @ u
-        vel[j + 1] = vb
+    inputs = [getattr(prep, name)[i0:i1, None] for name in _STEP_INPUTS]
+    vel, caches = _run_window(params, s * prep.base_vel[k0:k0 + 1], *inputs)
 
     m = len(ks)
-    resid = vel[local] - targets
+    resid = vel[local, 0] - targets
     loss = float(np.sum(resid ** 2) / (3 * m))
     if grads is None:
         grads = _zero_grads(params)
 
     dvel = np.zeros_like(vel)
-    np.add.at(dvel, local, 2.0 * resid / (3 * m))
+    np.add.at(dvel[:, 0], local, 2.0 * resid / (3 * m))
     ds = float(np.sum(-2.0 * resid / (3 * m) * prep.base_vel[ks]))
 
-    lam = dvel[n_steps].copy()
-    for j in range(n_steps - 1, -1, -1):
-        i = i0 + j
-        vb_j, out_j, cache = caches[j]
-        dxj, dyj, epsj = out_j
-        du = prep.R_step[i] @ lam
-        df = du * prep.dt[i]
-        d_out = np.array([-df[0] * vb_j[0], -df[1] * vb_j[1], -df[2]])
-        dx_raw = _mlp_backward(params, cache, d_out[None, :], grads)[0]
-        dvb = du.copy()
-        dvb[0] += -dxj * df[0]
-        dvb[1] += -dyj * df[1]
-        dvb += dx_raw[:3]
-        lam = dvb + dvel[j]
-
-    ds += float(lam @ prep.base_vel[k0])   # vb0 = s * base[k0]
+    lam = _window_vjp(params, caches, *inputs[-2:], dvel, grads)   # dt, R_step
+    ds += float(lam[0] @ prep.base_vel[k0])   # vb0 = s * base[k0]
     grads["scales"][prep.seq_id] += ds
     return loss, grads
 
@@ -366,72 +429,32 @@ def _batched_windows_loss_and_grads(params: DroneModelParams, preps,
 
     preps: list of PreparedSequence, one per window (may repeat).
     Returns the mean window loss; gradients (divided by the batch size)
-    accumulate into `grads`.
+    accumulate into `grads`. With grads=None only the loss is computed.
     """
-    B = len(preps)
-    L = n_steps
-    az = np.empty((B, L))
-    gyro = np.empty((B, L, 3))
-    rpm = np.empty((B, L, 4))
-    g_b = np.empty((B, L, 3))
-    dt = np.empty((B, L))
-    R_step = np.empty((B, L, 3, 3))
-    vb = np.empty((B, 3))
-    base0 = np.empty((B, 3))
-    dvel = np.zeros((B, L + 1, 3))
-    resid_info = []
-
-    for b, (p, k0) in enumerate(zip(preps, k0s)):
-        s = params.scales[p.seq_id]
-        i0 = int(p.sample_step[k0])
-        sl = slice(i0, i0 + L)
-        az[b], gyro[b], rpm[b], g_b[b], dt[b] = \
-            p.az[sl], p.gyro[sl], p.rpm[sl], p.g_b[sl], p.dt[sl]
-        R_step[b] = p.R_step[sl]
-        base0[b] = p.base_vel[k0]
-        vb[b] = s * base0[b]
-        in_win = (p.sample_step > i0) & (p.sample_step <= i0 + L)
-        ks = np.nonzero(in_win)[0]
-        resid_info.append((ks, p.sample_step[ks] - i0, p.base_vel[ks], s))
-
-    vel = np.empty((B, L + 1, 3))
-    vel[:, 0] = vb
-    caches = []
-    for j in range(L):
-        x = np.concatenate([vb, az[:, j:j + 1], gyro[:, j], rpm[:, j]], axis=1)
-        out, cache = _mlp_forward(params, x)
-        f = np.stack([-out[:, 0] * vb[:, 0], -out[:, 1] * vb[:, 1],
-                      az[:, j] - out[:, 2]], axis=1)
-        u = vb + (f + g_b[:, j]) * dt[:, j, None]
-        caches.append((vb.copy(), out, cache))
-        vb = np.einsum("bji,bj->bi", R_step[:, j], u)
-        vel[:, j + 1] = vb
+    B, L = len(preps), n_steps
+    i0s = [int(p.sample_step[k0]) for p, k0 in zip(preps, k0s)]
+    inputs = [np.stack([getattr(p, name)[i0:i0 + L] for p, i0 in zip(preps, i0s)], axis=1)
+              for name in _STEP_INPUTS]
+    scales = np.array([params.scales[p.seq_id] for p in preps])
+    base0 = np.stack([p.base_vel[k0] for p, k0 in zip(preps, k0s)])
+    vel, caches = _run_window(params, scales[:, None] * base0, *inputs)
 
     # gradients below are of the MEAN window loss (the 1/B rides on dvel)
     loss = 0.0
     ds = np.zeros(B)
-    for b, (ks, local, base, s) in enumerate(resid_info):
-        m = len(ks)
-        resid = vel[b, local] - s * base
+    dvel = np.zeros_like(vel)
+    for b, (p, i0) in enumerate(zip(preps, i0s)):
+        ks = np.nonzero((p.sample_step > i0) & (p.sample_step <= i0 + L))[0]
+        m, local, base = len(ks), p.sample_step[ks] - i0, p.base_vel[ks]
+        resid = vel[local, b] - scales[b] * base
         loss += float(np.sum(resid ** 2) / (3 * m))
-        np.add.at(dvel[b], local, 2.0 * resid / (3 * m * B))
+        np.add.at(dvel[:, b], local, 2.0 * resid / (3 * m * B))
         ds[b] = float(np.sum(-2.0 * resid / (3 * m * B) * base))
     loss /= B
+    if grads is None:
+        return loss
 
-    lam = dvel[:, L].copy()
-    for j in range(L - 1, -1, -1):
-        vb_j, out_j, cache = caches[j]
-        du = np.einsum("bij,bj->bi", R_step[:, j], lam)
-        df = du * dt[:, j, None]
-        d_out = np.stack([-df[:, 0] * vb_j[:, 0], -df[:, 1] * vb_j[:, 1],
-                          -df[:, 2]], axis=1)
-        dx_raw = _mlp_backward(params, cache, d_out, grads)
-        dvb = du
-        dvb[:, 0] += -out_j[:, 0] * df[:, 0]
-        dvb[:, 1] += -out_j[:, 1] * df[:, 1]
-        dvb += dx_raw[:, :3]
-        lam = dvb + dvel[:, j]
-
+    lam = _window_vjp(params, caches, *inputs[-2:], dvel, grads)   # dt, R_step
     ds += np.einsum("bi,bi->b", lam, base0)
     for b, p in enumerate(preps):
         grads["scales"][p.seq_id] += ds[b]
@@ -490,8 +513,7 @@ def compute_norm_stats(prepared, init_scale=1.0):
     for p in prepared:
         vb = init_scale * p.base_vel
         idx = np.clip(p.sample_step, 0, len(p.az) - 1)
-        rows.append(np.concatenate([
-            vb, p.az[idx, None], p.gyro[idx], p.rpm[idx]], axis=1))
+        rows.append(_features(vb, p.az[idx], p.gyro[idx], p.rpm[idx]))
     X = np.concatenate(rows, axis=0)
     return X.mean(axis=0), np.maximum(X.std(axis=0), _STD_FLOOR)
 
@@ -509,12 +531,10 @@ def _grid_init_scales(params, prepared, rng, candidates=None):
         best = (np.inf, params.scales[p.seq_id])
         for s in candidates:
             params.scales[p.seq_id] = float(s)
-            tot = 0.0
-            for k0 in anchors:
-                l, _ = window_loss_and_grads(params, p, k0, n_steps)
-                tot += l
-            if tot < best[0]:
-                best = (tot, float(s))
+            loss = _batched_windows_loss_and_grads(params, [p] * len(anchors), anchors,
+                                                   n_steps, None)
+            if loss < best[0]:
+                best = (loss, float(s))
         params.scales[p.seq_id] = best[1]
 
 
@@ -603,6 +623,6 @@ def effective_drag(params: DroneModelParams, prep: PreparedSequence, s=None,
     keep = np.linalg.norm(vb, axis=1) >= speed_floor
     if not keep.any():
         raise ContractViolation("no cruise samples above the speed floor")
-    X = np.concatenate([vb, prep.az[idx, None], prep.gyro[idx], prep.rpm[idx]], axis=1)
+    X = _features(vb, prep.az[idx], prep.gyro[idx], prep.rpm[idx])
     out, _ = _mlp_forward(params, X[keep])
     return float(out[:, 0].mean()), float(out[:, 1].mean())

@@ -2,15 +2,12 @@
 
 A conventional error-state Kalman filter over [position, velocity] with
 attitude supplied externally (attitude filter or ground truth). The
-propagation acceleration is an affine blend of the IMU specific force
-and the drone model's predicted specific force:
-
-    f = w * (-d_x vb_x, -d_y vb_y, a_z - eps) + (1 - w) * accel
-
-with the model evaluated at the filter's current velocity estimate, so
-the drag terms act as velocity feedback. Visual body-velocity updates
-arrive at a configurable processing rate; dropout windows emulate
-challenging visual conditions.
+propagation acceleration is an affine blend, w * model + (1 - w) * accel,
+of the IMU specific force and the specific force of the drone model's
+velocity recurrence (`dronemodel._specific_force`), evaluated at the
+filter's current velocity estimate, so the drag terms act as velocity
+feedback. Visual body-velocity updates arrive at a configurable
+processing rate; dropout windows emulate challenging visual conditions.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dronemodel import DroneModelParams, _mlp_forward
+from .dronemodel import DroneModelParams, _specific_force
 from .geometry import ContractViolation
 from .synth import G_WORLD
 
@@ -57,10 +54,9 @@ def fused_accel(imu_accel, model_sf, w):
 
 def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm):
     """Specific force predicted by the drone model (the rollout bracket)."""
-    x = np.concatenate([vb, [accel[2]], gyro, rpm])
-    out, _ = _mlp_forward(params, x[None, :])
-    dx, dy, eps = out[0]
-    return np.array([-dx * vb[0], -dy * vb[1], accel[2] - eps])
+    f, _ = _specific_force(params, np.asarray(vb)[None], np.asarray(accel)[2:3],
+                           np.asarray(gyro)[None], np.asarray(rpm)[None])
+    return f[0]
 
 
 @dataclass
@@ -119,6 +115,11 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
     vis_i = int(np.searchsorted(vis_t, imu_t[0], side="left"))
     n_updates = 0
     I6 = np.eye(6)
+    # F = [[I, dt I], [0, I]], Q = diag(q_p I, q_v I): only dt, q_p, q_v change
+    F = I6.copy()
+    F_dt = F.reshape(-1)[3:18:7]
+    Q = np.zeros((6, 6))
+    Q_diag = Q.reshape(-1)[::7]
 
     for i in range(n - 1):
         dt = imu_t[i + 1] - imu_t[i]
@@ -133,11 +134,9 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
         p = p + v * dt + 0.5 * a_w * dt * dt
         v = v + a_w * dt
 
-        F = I6.copy()
-        F[:3, 3:] = dt * np.eye(3)
-        Q = np.zeros((6, 6))
-        Q[3:, 3:] = (cfg.accel_noise_std * dt) ** 2 * np.eye(3)
-        Q[:3, :3] = (0.5 * cfg.accel_noise_std * dt * dt) ** 2 * np.eye(3)
+        F_dt[:] = dt
+        Q_diag[:3] = (0.5 * cfg.accel_noise_std * dt * dt) ** 2
+        Q_diag[3:] = (cfg.accel_noise_std * dt) ** 2
         P = F @ P @ F.T + Q
 
         t_next = imu_t[i + 1]
@@ -156,9 +155,9 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
             vis_i += 1
             n_updates += 1
 
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(p).all() and np.isfinite(v).all()):
             raise FilterDivergence(imu_t[i + 1], "non-finite state")
-        if np.trace(P) > 1e6:
+        if P.trace() > 1e6:
             raise FilterDivergence(imu_t[i + 1], "covariance blow-up")
         pos[i + 1], vel_w[i + 1] = p, v
         vel_b[i + 1] = R_wb[i + 1].T @ v

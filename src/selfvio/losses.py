@@ -70,12 +70,6 @@ class LossDiagnostics:
     valid_depth: int = 0
     scheme: str = ""
 
-    CSV_HEADER = "scheme,total,photometric,depth,smoothness,valid_photo,valid_depth"
-
-    def csv_row(self) -> str:
-        return (f"{self.scheme},{self.total!r},{self.photometric!r},"
-                f"{self.depth!r},{self.smoothness!r},{self.valid_photo},{self.valid_depth}")
-
 
 # --------------------------------------------------------------------------
 # per-pixel losses
@@ -184,11 +178,7 @@ def masked_min_photometric(errors, masks):
     return float(loss)
 
 
-def masked_min_depth(errors, masks):
-    """Same aggregation contract as masked_min_photometric (depth maps)."""
-    errors = [np.asarray(e, dtype=np.float64) for e in errors]
-    loss, _ = _masked_min_mean(errors, masks)
-    return float(loss)
+masked_min_depth = masked_min_photometric   # same contract, for depth maps
 
 
 # --------------------------------------------------------------------------
@@ -306,9 +296,3 @@ def export_error_map_pgm(path, error_map, peak=None):
     peak = float(m.max()) if peak is None else float(peak)
     scale = peak if peak > 0 else 1.0
     write_pgm16(path, np.clip(m / scale, 0.0, 1.0))
-
-
-def export_diagnostics_csv(path, diagnostics):
-    rows = [LossDiagnostics.CSV_HEADER] + [d.csv_row() for d in diagnostics]
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")

@@ -212,3 +212,75 @@ def test_fuse_jobs_flag_deterministic(tmp_path):
                  "--jobs", "2"]) == 0
     assert open(os.path.join(o1, "sweep.csv")).read() == \
         open(os.path.join(o2, "sweep.csv")).read()
+
+
+def test_fuse_resamples_half_rate_motors(tmp_path):
+    """motors.csv at half the IMU rate: the model term reads RPM at IMU
+    timestamps instead of indexing past the motor stream."""
+    from conftest import small_intrinsics
+    from selfvio.dataio import DatasetWriter
+    from selfvio.dronemodel import init_params, save_params
+    from selfvio.synth import (R_CB, MotorStream, RefDynamicsParams, SceneSpec,
+                               TrajectorySpec, render, simulate_imu_motors)
+    K = small_intrinsics(24, 16, f=20.0)
+    traj = TrajectorySpec(kind="ellipse", peak_speed=2.0, duration=2.0, period=6.0,
+                          cam_hz=10.0, imu_hz=100.0)
+    sim = simulate_imu_motors(traj, RefDynamicsParams())
+    ds = os.path.join(tmp_path, "ds")
+    w = DatasetWriter(ds, "half", K, R_CB, np.zeros(3), 10.0, 100.0, depth_scale=25.0)
+    for i, pose in enumerate(sim.cam_poses):
+        w.add_frame(sim.cam_t[i], render(SceneSpec(), pose, K).image)
+    w.write_imu(sim.imu)
+    w.write_motors(MotorStream(t=sim.motors.t[::2], rpm=sim.motors.rpm[::2]))
+    w.write_groundtruth(sim.t_gt, sim.pos_w, sim.quat_wb, sim.vel_w)
+    w.finalize()
+    model = os.path.join(tmp_path, "m.json")
+    save_params(model, init_params(np.random.default_rng(0), scales={"half": 1.0}))
+    fcfg = _write(os.path.join(tmp_path, "f.cfg"),
+                  "weights=0.3\nrates=10\nseeds=1\nattitude=groundtruth\n")
+    out = os.path.join(tmp_path, "fuse")
+    assert main(["fuse", "--dataset", ds, "--model", model, "--out", out,
+                 "--config", fcfg]) == 0
+    assert len(open(os.path.join(out, "sweep.csv")).read().splitlines()) == 2
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("malformed")
+    cfg = _write(os.path.join(root, "g.cfg"), GEN_SMALL)
+    ds = os.path.join(root, "ds")
+    assert main(["generate", "--config", cfg, "--out", ds]) == 0
+    good = _write(os.path.join(root, "traj.csv"), "t,px,py,pz\n" + "".join(
+        f"{0.1 * i!r},{0.2 * i!r},{float(np.sin(i))!r},{float(np.cos(0.7 * i))!r}\n"
+        for i in range(20)))
+    assert main(["eval", "--est", good, "--gt", ds, "--mode", "none",
+                 "--out", os.path.join(root, "ev")]) == 0
+    return ds, good
+
+
+MALFORMED_BODIES = {
+    "empty": "",
+    "header only": "{h}\n",
+    "non-numeric cell": "{h}\n" + "".join(f"{0.1 * i!r},1.0,2.0,3.0\n" for i in range(5))
+                        + "0.5,1.0,abc,3.0\n",
+    "short row": "{h}\n" + "".join(f"{0.1 * i!r},1.0,2.0,3.0\n" for i in range(5))
+                 + "0.5,1.0,2.0\n",
+}
+
+
+@pytest.mark.parametrize("verb", ["eval --est", "eval --vel-est", "train-model --sequence"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_BODIES))
+def test_malformed_csv_is_data_error(tmp_path, small_dataset, verb, case):
+    ds, good = small_dataset
+    header = {"eval --est": "t,px,py,pz", "eval --vel-est": "t,vx,vy,vz",
+              "train-model --sequence": "t,vcx,vcy,vcz"}[verb]
+    bad = _write(os.path.join(tmp_path, "bad.csv"), MALFORMED_BODIES[case].format(h=header))
+    out = os.path.join(tmp_path, "out")
+    argv = {
+        "eval --est": ["eval", "--est", bad, "--gt", ds, "--mode", "none", "--out", out],
+        "eval --vel-est": ["eval", "--est", good, "--gt", ds, "--mode", "none",
+                           "--vel-est", bad, "--out", out],
+        "train-model --sequence": ["train-model", "--sequence", f"{ds}:{bad}",
+                                   "--out", out],
+    }[verb]
+    assert main(argv) == 3

@@ -134,3 +134,25 @@ def test_model_required_when_weighted():
     with pytest.raises(ContractViolation):
         run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm,
                    sim.R_wb, np.array([1.0]), np.zeros((1, 3)), None, cfg)
+
+
+def test_model_specific_force_is_the_rollout_bracket():
+    """The filter's model term and the rollout's bracket are one function:
+    bit-identical at every state of a random rollout."""
+    from selfvio.dronemodel import PreparedSequence, init_params, rollout
+    from selfvio.geometry import rotvec_to_matrix
+    rng = np.random.default_rng(11)
+    n, dt = 200, 0.002
+    params = init_params(rng, norm_mean=np.r_[0, 0, 0, 9.8, 0, 0, 0, [9000.0] * 4],
+                         norm_std=np.r_[2, 2, 2, 1, 1, 1, 1, [500.0] * 4])
+    gyro = rng.normal(scale=0.5, size=(n, 3))
+    prep = PreparedSequence(
+        seq_id="r", dt=np.full(n, dt), az=rng.normal(9.8, 0.5, n), gyro=gyro,
+        rpm=rng.uniform(8000.0, 10000.0, (n, 4)), g_b=rng.normal(size=(n, 3)),
+        R_step=np.stack([rotvec_to_matrix(g * dt) for g in gyro]),
+        base_vel=np.zeros((2, 3)), sample_step=np.arange(2), t=np.arange(n + 1) * dt)
+    ro = rollout(params, prep, rng.normal(scale=3.0, size=3))
+    for j in range(n):
+        accel = np.r_[rng.normal(size=2), prep.az[j]]
+        sf = model_specific_force(params, ro.vel[j], accel, prep.gyro[j], prep.rpm[j])
+        assert np.array_equal(sf, ro.specific_force[j])
