@@ -53,7 +53,7 @@ class AttitudeFilter:
         half = 0.5 * ang
         # body rotates by exp(w dt): q_bw' = exp(-w dt / 2) * q_bw
         dq = np.concatenate(([np.cos(half)], -np.sin(half) * axis))
-        return AttitudeState(quat_normalize(quat_mul(dq, state.q_bw)), state.t + dt)
+        return AttitudeState(quat_mul(dq, state.q_bw), state.t + dt)
 
     def correction_vector(self, state: AttitudeState, accel) -> np.ndarray:
         """Body-frame correction rotation for one accel sample.
@@ -79,7 +79,7 @@ class AttitudeFilter:
         axis = corr / ang
         half = 0.5 * ang
         dq = np.concatenate(([np.cos(half)], np.sin(half) * axis))
-        return AttitudeState(quat_normalize(quat_mul(dq, state.q_bw)), state.t)
+        return AttitudeState(quat_mul(dq, state.q_bw), state.t)
 
     def gravity_body(self, state: AttitudeState) -> np.ndarray:
         """World gravity rotated into the body frame (hover: a_z + g_z = 0)."""

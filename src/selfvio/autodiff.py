@@ -225,25 +225,6 @@ def exp(a):
     return Var(ev, (a,), lambda g: (g * ev,))
 
 
-def sqrt(a):
-    if not is_var(a):
-        return np.sqrt(value(a))
-    rv = np.sqrt(a.value)
-    return Var(rv, (a,), lambda g: (g * 0.5 / rv,))
-
-
-def sin(a):
-    if not is_var(a):
-        return np.sin(value(a))
-    return Var(np.sin(a.value), (a,), lambda g: (g * np.cos(a.value),))
-
-
-def cos(a):
-    if not is_var(a):
-        return np.cos(value(a))
-    return Var(np.cos(a.value), (a,), lambda g: (-g * np.sin(a.value),))
-
-
 def minimum(a, b):
     """Elementwise min; gradient goes to the first operand on exact ties."""
     if not (is_var(a) or is_var(b)):
@@ -356,6 +337,40 @@ def diff_v(a):
         return (out,)
 
     return Var(a.value[..., 1:, :] - a.value[..., :-1, :], (a,), vjp)
+
+
+def rigid_transform(R, t, X, Y, Z):
+    """Rows of R @ (X, Y, Z) + t for a (k, 3) R and a (k,) t.
+
+    Returns a tuple of k arrays (Vars when any input is one); row i is
+    R[i, 0] * X + R[i, 1] * Y + R[i, 2] * Z + t[i], evaluated in that order.
+    """
+    Rv, tv = value(R), value(t)
+    P = (X, Y, Z)
+    Pv = tuple(value(p) for p in P)
+    rows = [Rv[i, 0] * Pv[0] + Rv[i, 1] * Pv[1] + Rv[i, 2] * Pv[2] + tv[i]
+            for i in range(len(tv))]
+    if not any(is_var(x) for x in (R, t) + P):
+        return tuple(rows)
+    parents = tuple(x for x in (R, t) + P if is_var(x))
+
+    def row_var(i):
+        def vjp(g):
+            out = []
+            if is_var(R):
+                dR = np.zeros(Rv.shape)
+                dR[i] = [np.sum(g * p) for p in Pv]
+                out.append(dR)
+            if is_var(t):
+                dt = np.zeros(tv.shape)
+                dt[i] = np.sum(g)
+                out.append(dt)
+            out.extend(g * Rv[i, j] for j, p in enumerate(P) if is_var(p))
+            return tuple(out)
+
+        return Var(rows[i], parents, vjp)
+
+    return tuple(row_var(i) for i in range(len(tv)))
 
 
 def _pad_index(n, p):

@@ -169,7 +169,6 @@ EST_DEFAULTS = {
     "lambda1": 0.15, "lambda2": 0.001, "ssim_window": 3,
     "max_iters": 100, "step_size": 0.25, "tol": 1e-9,
     "depth_mode": "gt-scaled", "depth_scale_factor": 0.37,
-    "dump_error_maps": False,
 }
 
 
@@ -213,12 +212,6 @@ def cmd_estimate(args):
         diags.append(f"{k},{est.converged},{est.iterations},{_f(est.final_loss)}")
     _write_text(os.path.join(args.out, "diagnostics.csv"),
                 "pair,converged,iterations,final_loss\n" + "\n".join(diags) + "\n")
-
-    if cfg["dump_error_maps"] and len(frames) >= 2:
-        from .geometry import inverse_warp
-        recon, mask = inverse_warp(frames[0], depths[1], estimates[0].pose(), K)
-        emap = np.asarray(losses.appearance_map(recon, frames[1], lcfg)) * mask
-        losses.export_error_map_pgm(os.path.join(args.out, "error_map_000.pgm"), emap)
 
     _echo_config(args.out, "estimate.echo.cfg", cfg)
     print(f"estimated {len(estimates)} pairs ({cfg['scheme']}) -> {args.out}")
@@ -502,6 +495,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except evalign.DegeneratePointSet as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
     except (ConfigError, ContractViolation) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

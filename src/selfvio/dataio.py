@@ -1,4 +1,4 @@
-"""Canonical on-disk dataset format, loaders/writers, and synchronization.
+"""Canonical on-disk dataset format, loaders and writers.
 
 One directory per sequence:
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,15 +93,6 @@ def read_pgm16(path) -> np.ndarray:
 # CSV helpers
 
 
-def _write_csv(path, header, columns):
-    rows = [header]
-    n = len(columns[0])
-    for i in range(n):
-        rows.append(",".join(_cell(c[i]) for c in columns))
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")
-
-
 def _cell(x):
     if isinstance(x, str):
         return x
@@ -135,15 +126,20 @@ def _read_csv(path, expect_header):
     return rows
 
 
-def _read_floats(path, expect_header):
-    """`_read_csv` parsed to a float64 (rows, columns) array."""
-    rows = _read_csv(path, expect_header)
+def _floats(path, rows):
+    """CSV rows of `path` parsed to a float64 (rows, columns) array; no rows
+    or a non-numeric cell is a FormatError."""
     if not rows:
         raise FormatError(f"{path}: no data rows")
     try:
         return np.array([[float(x) for x in r] for r in rows])
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None
+
+
+def _read_floats(path, expect_header):
+    """`_read_csv` parsed to a float64 (rows, columns) array."""
+    return _floats(path, _read_csv(path, expect_header))
 
 
 def _check_monotone(t, stream):
@@ -336,8 +332,9 @@ def load_sequence(root) -> DatasetBundle:
         if _sha256(path) != digest:
             raise ChecksumMismatchError(path)
 
-    rows = _read_csv(os.path.join(root, "frames.csv"), "t,image,depth")
-    ft = np.array([float(r[0]) for r in rows])
+    frames_path = os.path.join(root, "frames.csv")
+    rows = _read_csv(frames_path, "t,image,depth")
+    ft = _floats(frames_path, [r[:1] for r in rows])[:, 0]
     _check_monotone(ft, "frames.csv")
     frames = FrameIndex(t=ft, image_files=[r[1] for r in rows],
                         depth_files=[r[2] for r in rows])
@@ -359,53 +356,3 @@ def load_sequence(root) -> DatasetBundle:
               "vel_w": arr[:, 8:11]}
     return DatasetBundle(root=root, manifest=manifest, frames=frames,
                          imu=imu, motors=motors, groundtruth=gt)
-
-
-# --------------------------------------------------------------------------
-# synchronization
-
-
-@dataclass
-class SyncedRecord:
-    """One camera frame with its preceding inter-frame sensor window."""
-    frame: int
-    t: float
-    dt: float
-    gap: bool
-    imu_slice: tuple       # (start, stop) half-open into the IMU stream
-    motor_slice: tuple
-
-
-def synchronize(frame_t, imu_t, motor_t=None, gap_factor=1.5):
-    """Partition sensor samples into inter-frame intervals.
-
-    Record i covers (frame_t[i-1], frame_t[i]]; samples before the first
-    frame / after the last are reported as head/tail remainders. Gap flag
-    is set when dt exceeds gap_factor x median dt.
-
-    Returns (records, head, tail) where head/tail are (imu_slice,
-    motor_slice) tuples.
-    """
-    frame_t = np.asarray(frame_t, dtype=np.float64)
-    if len(frame_t) == 0:
-        raise DatasetError("camera stream is empty")
-    imu_t = np.asarray(imu_t, dtype=np.float64)
-    motor_t = imu_t if motor_t is None else np.asarray(motor_t, dtype=np.float64)
-
-    dts = np.diff(frame_t)
-    med = float(np.median(dts)) if len(dts) else 0.0
-    imu_edges = np.searchsorted(imu_t, frame_t, side="right")
-    mot_edges = np.searchsorted(motor_t, frame_t, side="right")
-
-    records = []
-    for i in range(1, len(frame_t)):
-        dt = float(dts[i - 1])
-        records.append(SyncedRecord(
-            frame=i, t=float(frame_t[i]), dt=dt,
-            gap=bool(med > 0 and dt > gap_factor * med),
-            imu_slice=(int(imu_edges[i - 1]), int(imu_edges[i])),
-            motor_slice=(int(mot_edges[i - 1]), int(mot_edges[i])),
-        ))
-    head = ((0, int(imu_edges[0])), (0, int(mot_edges[0])))
-    tail = ((int(imu_edges[-1]), len(imu_t)), (int(mot_edges[-1]), len(motor_t)))
-    return records, head, tail

@@ -16,6 +16,11 @@ from .geometry import ContractViolation, matrix_to_quat, quat_to_matrix
 ALIGN_MODES = ("none", "se3", "sim3")
 
 
+class DegeneratePointSet(ContractViolation):
+    """The point sets cannot be aligned: too few, coincident, collinear or
+    unassociable points. A property of the data, not of the call."""
+
+
 @dataclass
 class TrajectoryEstimate:
     t: np.ndarray
@@ -62,8 +67,10 @@ def umeyama_align(est, gt, with_scale=True) -> Sim3Transform:
     """
     est = np.asarray(est, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if est.shape != gt.shape or est.ndim != 2 or est.shape[1] != 3 or len(est) < 3:
-        raise ContractViolation("need matching (N,3) point sets with N >= 3")
+    if est.shape != gt.shape or est.ndim != 2 or est.shape[1] != 3:
+        raise ContractViolation("need matching (N,3) point sets")
+    if len(est) < 3:
+        raise DegeneratePointSet(f"need at least 3 points, got {len(est)}")
     mu_e = est.mean(axis=0)
     mu_g = gt.mean(axis=0)
     xe = est - mu_e
@@ -71,10 +78,10 @@ def umeyama_align(est, gt, with_scale=True) -> Sim3Transform:
     cov = xg.T @ xe / len(est)
     var_e = float((xe ** 2).sum() / len(est))
     if var_e < 1e-15:
-        raise ContractViolation("degenerate (coincident) point set")
+        raise DegeneratePointSet("degenerate (coincident) point set")
     U, D, Vt = np.linalg.svd(cov)
     if D[1] < 1e-12 * max(D[0], 1e-300):
-        raise ContractViolation("degenerate (collinear) point set")
+        raise DegeneratePointSet("degenerate (collinear) point set")
     S = np.eye(3)
     if np.linalg.det(U) * np.linalg.det(Vt) < 0:
         S[2, 2] = -1.0
@@ -114,7 +121,7 @@ def position_rmse(est: TrajectoryEstimate, gt: TrajectoryEstimate,
         max_gap = 0.5 * float(np.median(np.diff(est.t))) if len(est.t) > 1 else np.inf
     ie, ig, _ = associate(est.t, gt.t, max_gap)
     if len(ie) == 0:
-        raise ContractViolation("no associable samples between trajectories")
+        raise DegeneratePointSet("no associable samples between trajectories")
     pe = est.pos[ie]
     pg = gt.pos[ig]
     if mode != "none":

@@ -8,9 +8,10 @@ Conventions (fixed across the package):
   - twists are 6-vectors (translation[3], rotation[3]); se3_exp uses the
     standard closed form with the V matrix coupling the two blocks.
 
-The warping entry points (project_grid, inverse_warp, warp_depth) accept
-either plain ndarrays or autodiff Vars for the pose entries and depth, so
-the pose optimizer can differentiate straight through them.
+The warp takes a pose as an (R, t) pair, a (3, 3) and a (3,) array
+(se3_exp_entries, pose_entries, invert_entries). R, t and the depth may
+each be an ndarray or an autodiff Var, so the pose optimizer can
+differentiate straight through the warp.
 """
 
 from __future__ import annotations
@@ -123,18 +124,31 @@ def quat_from_axis_angle(axis, angle):
     return np.concatenate(([np.cos(half)], np.sin(half) * axis / n))
 
 
+def _exp_coeffs(t2):
+    """Coefficients of the exponential at theta^2 = t2, and their t2-derivatives.
+
+    Returns (A, B, C, dA, dB, dC) with A = sin(th)/th, B = (1 - cos th)/th^2
+    and C = (1 - A)/th^2, so that exp(phi^) = I + A K + B K^2 and the SE(3)
+    V matrix is I + B K + C K^2 (K = skew(phi)). Below 1e-16 a Taylor
+    branch in t2 avoids the 0/0.
+    """
+    if t2 < 1e-16:
+        return (1.0 - t2 / 6.0, 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0,
+                -1.0 / 6.0, -1.0 / 24.0, -1.0 / 120.0)
+    th = np.sqrt(t2)
+    c = np.cos(th)
+    A = np.sin(th) / th
+    B = (1.0 - c) / t2
+    C = (1.0 - A) / t2
+    h = 0.5 / t2
+    return A, B, C, (c - A) * h, (A - 2.0 * B) * h, (B - 3.0 * C) * h
+
+
 def rotvec_to_matrix(phi):
     """Rodrigues formula; exact for any angle, Taylor branch near zero."""
     phi = np.asarray(phi, dtype=np.float64)
-    t2 = float(phi @ phi)
+    A, B = _exp_coeffs(float(phi @ phi))[:2]
     K = skew(phi)
-    if t2 < 1e-16:
-        A = 1.0 - t2 / 6.0
-        B = 0.5 - t2 / 24.0
-    else:
-        th = np.sqrt(t2)
-        A = np.sin(th) / th
-        B = (1.0 - np.cos(th)) / t2
     return np.eye(3) + A * K + B * (K @ K)
 
 
@@ -197,20 +211,7 @@ class SE3Pose:
 
 def se3_exp(xi) -> SE3Pose:
     """Exponential map of a twist (rho[3], phi[3]) to an SE3Pose."""
-    xi = np.asarray(xi, dtype=np.float64)
-    rho, phi = xi[:3], xi[3:]
-    t2 = float(phi @ phi)
-    K = skew(phi)
-    if t2 < 1e-16:
-        B = 0.5 - t2 / 24.0
-        C = 1.0 / 6.0 - t2 / 120.0
-    else:
-        th = np.sqrt(t2)
-        A = np.sin(th) / th
-        B = (1.0 - np.cos(th)) / t2
-        C = (1.0 - A) / t2
-    V = np.eye(3) + B * K + C * (K @ K)
-    return SE3Pose.from_matrix(rotvec_to_matrix(phi), V @ rho)
+    return SE3Pose.from_matrix(*se3_exp_entries(np.asarray(xi, dtype=np.float64)))
 
 
 def se3_log(pose: SE3Pose) -> np.ndarray:
@@ -218,65 +219,73 @@ def se3_log(pose: SE3Pose) -> np.ndarray:
     R = pose.rotation_matrix()
     cos_th = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
     th = np.arccos(cos_th)
-    if th < 1e-8:
-        phi = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    else:
-        phi = th / (2.0 * np.sin(th)) * np.array(
-            [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    phi = 0.5 * w if th < 1e-8 else th / (2.0 * np.sin(th)) * w
     t2 = float(phi @ phi)
+    A, B = _exp_coeffs(t2)[:2]
+    D = 1.0 / 12.0 if t2 < 1e-16 else (1.0 - A / (2.0 * B)) / t2
     K = skew(phi)
-    if t2 < 1e-16:
-        Vinv = np.eye(3) - 0.5 * K + (1.0 / 12.0) * (K @ K)
-    else:
-        A = np.sin(th) / th
-        B = (1.0 - np.cos(th)) / t2
-        Vinv = np.eye(3) - 0.5 * K + (1.0 / t2) * (1.0 - A / (2.0 * B)) * (K @ K)
+    Vinv = np.eye(3) - 0.5 * K + D * (K @ K)
     return np.concatenate([Vinv @ pose.t, phi])
 
 
-def se3_exp_entries(xi):
-    """se3_exp on a twist that may be an autodiff Var.
+def _exp_vjp(G, phi, t2, a, b, da, db):
+    """Gradient in phi of <G, a K + b K^2>, where K = skew(phi) and a, b are
+    functions of t2 = |phi|^2 with derivatives da, db.
 
-    Returns (R, t) where R is a 3x3 nested list and t a length-3 list of
-    scalar entries (Vars when xi is a Var). The Taylor branch for small
-    rotations is expressed in theta^2 so there is no sqrt(0) kink.
+    Uses <G, K> = phi . w(G) and <G, K^2> = phi^T G phi - t2 tr(G), since
+    K^2 = phi phi^T - t2 I.
     """
-    rx, ry, rz = xi[0], xi[1], xi[2]
-    wx, wy, wz = xi[3], xi[4], xi[5]
-    t2 = wx * wx + wy * wy + wz * wz
-    if float(ad.value(t2)) < 1e-16:
-        A = 1.0 - t2 * (1.0 / 6.0)
-        B = 0.5 - t2 * (1.0 / 24.0)
-        C = 1.0 / 6.0 - t2 * (1.0 / 120.0)
-    else:
-        th = ad.sqrt(t2)
-        A = ad.sin(th) / th
-        B = (1.0 - ad.cos(th)) / t2
-        C = (1.0 - A) / t2
+    w = np.array([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
+    tr = np.trace(G)
+    Gs_phi = (G + G.T) @ phi
+    inner_k = phi @ w
+    inner_k2 = 0.5 * (phi @ Gs_phi) - t2 * tr
+    return (2.0 * (da * inner_k + db * inner_k2) * phi + a * w
+            + b * (Gs_phi - 2.0 * tr * phi))
 
-    R = [[1.0 - B * (wy * wy + wz * wz), B * (wx * wy) - A * wz, B * (wx * wz) + A * wy],
-         [B * (wx * wy) + A * wz, 1.0 - B * (wx * wx + wz * wz), B * (wy * wz) - A * wx],
-         [B * (wx * wz) - A * wy, B * (wy * wz) + A * wx, 1.0 - B * (wx * wx + wy * wy)]]
 
-    V = [[1.0 - C * (wy * wy + wz * wz), C * (wx * wy) - B * wz, C * (wx * wz) + B * wy],
-         [C * (wx * wy) + B * wz, 1.0 - C * (wx * wx + wz * wz), C * (wy * wz) - B * wx],
-         [C * (wx * wz) - B * wy, C * (wy * wz) + B * wx, 1.0 - C * (wx * wx + wy * wy)]]
+def se3_exp_entries(xi):
+    """se3_exp as arrays: R (3, 3) and t (3,) of the twist xi (6,).
 
-    t = [V[i][0] * rx + V[i][1] * ry + V[i][2] * rz for i in range(3)]
-    return R, t
+    se3_exp is this pair as an SE3Pose, and R is rotvec_to_matrix(xi[3:]).
+    When xi is a Var, R and t are two Vars whose only parent is xi; their
+    closed-form VJPs map dL/dR and dL/dt to dL/dxi (Sola et al., "A micro
+    Lie theory", 2018).
+    """
+    xv = ad.value(xi)
+    rho, phi = xv[:3], xv[3:]
+    t2 = float(phi @ phi)
+    A, B, C, dA, dB, dC = _exp_coeffs(t2)
+    K = skew(phi)
+    V = np.eye(3) + B * K + C * (K @ K)
+    R, t = rotvec_to_matrix(phi), V @ rho
+    if not ad.is_var(xi):
+        return R, t
+
+    def vjp_R(G):
+        return (np.concatenate([np.zeros(3), _exp_vjp(G, phi, t2, A, B, dA, dB)]),)
+
+    def vjp_t(g):
+        return (np.concatenate([V.T @ g, _exp_vjp(np.outer(g, rho), phi, t2, B, C, dB, dC)]),)
+
+    return ad.Var(R, (xi,), vjp_R), ad.Var(t, (xi,), vjp_t)
 
 
 def pose_entries(pose: SE3Pose):
-    """Plain-float (R, t) entries of an SE3Pose for the generic warp path."""
-    R = pose.rotation_matrix()
-    return [[R[i, j] for j in range(3)] for i in range(3)], [pose.t[i] for i in range(3)]
+    """(R, t) arrays of an SE3Pose for the generic warp path."""
+    return pose.rotation_matrix(), pose.t
 
 
 def invert_entries(R, t):
-    """Exact inverse of entry-form (R, t): (R^T, -R^T t)."""
-    Rt = [[R[j][i] for j in range(3)] for i in range(3)]
-    ti = [-(Rt[i][0] * t[0] + Rt[i][1] * t[1] + Rt[i][2] * t[2]) for i in range(3)]
-    return Rt, ti
+    """Exact inverse of (R, t): (R^T, -R^T t), as Vars when R or t is one."""
+    Rv, tv = ad.value(R), ad.value(t)
+    Ri, ti = Rv.T, -(Rv.T @ tv)
+    if not (ad.is_var(R) or ad.is_var(t)):
+        return Ri, ti
+    R, t = (x if ad.is_var(x) else ad.Var(x) for x in (R, t))
+    return (ad.Var(Ri, (R,), lambda G: (G.T,)),
+            ad.Var(ti, (R, t), lambda g: (-np.outer(tv, g), -(Rv @ g))))
 
 
 # --------------------------------------------------------------------------
@@ -329,19 +338,12 @@ def project(p, depth, K: CameraIntrinsics, pose: SE3Pose):
 def project_grid(depth_t, K: CameraIntrinsics, R, t):
     """Warp coordinates for every target pixel.
 
-    depth_t may be an ndarray or a Var; (R, t) are entry-form (nested
-    lists of floats or scalar Vars). Returns (xs, ys, zc, front) where
-    front marks z > 0 and (xs, ys) are continuous source-pixel coords
-    (safe values where front is False).
+    depth_t, R (3, 3) and t (3,) may each be an ndarray or a Var. Returns
+    (xs, ys, zc, front) where front marks z > 0 and (xs, ys) are continuous
+    source-pixel coords (safe values where front is False).
     """
     xn, yn = K.normalized_grid()
-    X = xn * depth_t
-    Y = yn * depth_t
-    Z = depth_t
-
-    Xc = R[0][0] * X + R[0][1] * Y + R[0][2] * Z + t[0]
-    Yc = R[1][0] * X + R[1][1] * Y + R[1][2] * Z + t[1]
-    Zc = R[2][0] * X + R[2][1] * Y + R[2][2] * Z + t[2]
+    Xc, Yc, Zc = ad.rigid_transform(R, t, xn * depth_t, yn * depth_t, depth_t)
 
     front = ad.value(Zc) > Z_EPS
     Zs = ad.where(front, Zc, 1.0)
@@ -391,12 +393,9 @@ def warp_depth_parts(source_depth, depth_t, K: CameraIntrinsics, R, t):
     yn_s = (ys - K.cy) / K.fy
     Xs = xn_s * ds
     Ys = yn_s * ds
-    Ri, _ = invert_entries(R, t)
-    # target-frame z of the lifted source point: row 2 of R^T @ (P - t)
-    Px = Xs - t[0]
-    Py = Ys - t[1]
-    Pz = ds - t[2]
-    warped = Ri[2][0] * Px + Ri[2][1] * Py + Ri[2][2] * Pz
+    Ri, ti = invert_entries(R, t)
+    # target-frame z of the lifted source point: row 2 of R^T P - R^T t
+    (warped,) = ad.rigid_transform(Ri[2:], ti[2:], Xs, Ys, ds)
     mask = front & in_bounds & (ad.value(warped) > 0.0)
     return warped, mask
 

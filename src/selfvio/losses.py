@@ -13,13 +13,13 @@ Three aggregation schemes are supported:
 
 The masked aggregations normalize by the number of jointly-valid pixels.
 All per-pixel maps are plain float64 arrays; the internal entry points
-also accept autodiff Vars for depth and pose entries so the pose
-optimizer can differentiate the total loss.
+also accept autodiff Vars for depth and for the (R, t) pose arrays, so
+the pose optimizer can differentiate the total loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,12 +213,13 @@ def _depth_term(source_depth, depth_target, K, R, t, benchmark):
 
 
 def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossConfig):
-    """Scheme dispatch on entry-form poses; Var-friendly.
+    """Scheme dispatch on (R, t) poses; Var-friendly.
 
     frames: list of constant images. depths: ndarray or Var per frame.
-    poses_rt: entry-form (R, t) transforms; for 2f a single transform
-    mapping current-frame coordinates into the previous frame, for
-    3f/benchmark the two transforms (cur->prev, cur->next).
+    poses_rt: (R, t) transforms, each a (3, 3) and a (3,) array or Var;
+    for 2f a single transform mapping current-frame coordinates into the
+    previous frame, for 3f/benchmark the two transforms (cur->prev,
+    cur->next).
     """
     _check_arity(frames, depths, len(poses_rt), cfg)
     diag = LossDiagnostics(scheme=cfg.scheme)
@@ -287,12 +288,3 @@ def total_loss(frames, depths, poses, K: CameraIntrinsics, cfg: LossConfig):
     poses_rt = [pose_entries(p) for p in poses]
     loss, diag = total_loss_generic(frames, depths, poses_rt, K, cfg)
     return float(ad.value(loss)), diag
-
-
-def export_error_map_pgm(path, error_map, peak=None):
-    """Dump a per-pixel error map as a 16-bit PGM for visual inspection."""
-    from .dataio import write_pgm16
-    m = np.asarray(error_map, dtype=np.float64)
-    peak = float(m.max()) if peak is None else float(peak)
-    scale = peak if peak > 0 else 1.0
-    write_pgm16(path, np.clip(m / scale, 0.0, 1.0))

@@ -4,14 +4,16 @@ CNN pose/depth networks, exercising exactly the same objectives.
 
 The optimizer differentiates the total loss through the warp with the
 in-package autodiff, parameterizing the relative pose as a 6-vector
-twist (12 for the triplet schemes, which carry two transforms). Plain
+twist (12 for the triplet schemes, which carry two transforms); each
+twist enters the warp as the (R, t) Var pair of `se3_exp_entries`, whose
+closed-form VJP carries the gradient back to the twist. Plain
 gradient descent with backtracking (Armijo) line search: deterministic,
 loss non-increasing across accepted steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +23,12 @@ from .geometry import ContractViolation, SE3Pose, se3_exp, se3_exp_entries
 from .losses import SCHEME_2F, DegenerateBatchError, LossConfig, total_loss_generic
 
 DEPTH_MODES = ("gt-scaled", "optimize")
+
+# line search: halvings per iteration, step growth after an accepted step,
+# and the flow budget cap per iteration (px)
+MAX_BACKTRACKS = 25
+STEP_GROW = 1.6
+STEP_MAX = 2.0
 
 
 class OptimizationDiverged(RuntimeError):
@@ -33,11 +41,8 @@ class OptimizationDiverged(RuntimeError):
 class OptimizerConfig:
     max_iters: int = 100
     step_size: float = 0.25        # initial step, in pixels of image flow
-    step_max: float = 2.0          # flow budget cap per iteration (px)
     tol: float = 1e-9              # stop when the loss decrease falls below
     depth_mode: str = "gt-scaled"
-    max_backtracks: int = 25
-    grow: float = 1.6
 
     def __post_init__(self):
         if self.step_size <= 0 or self.max_iters < 0:
@@ -73,7 +78,7 @@ def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None):
     """
     n = _n_twists(cfg)
     xiv = ad.Var(np.asarray(twists, dtype=np.float64))
-    poses_rt = [se3_exp_entries([xiv[6 * j + i] for i in range(6)]) for j in range(n)]
+    poses_rt = [se3_exp_entries(xiv[6 * j:6 * j + 6]) for j in range(n)]
 
     depths = list(depths)
     dvar = None
@@ -157,7 +162,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
             slope += float((g_d * d_d).sum()) / unit
         accepted = False
         s = step_px
-        for _ in range(opt.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand_t = theta - (s / unit) * d_t
             cand_d = None if dlog is None else dlog - (s / unit) * d_d
             try:
@@ -175,7 +180,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
             break
         decrease = loss - cand_loss
         theta, dlog, loss = cand_t, cand_d, cand_loss
-        step_px = min(s * opt.grow, opt.step_max)
+        step_px = min(s * STEP_GROW, STEP_MAX)
         trace.append(loss)
         if loss < best[0]:
             best = (loss, theta.copy(), None if dlog is None else dlog.copy())

@@ -1,12 +1,15 @@
 """CLI verbs: determinism, exit codes, file handoff."""
 
 import hashlib
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from selfvio.cli import main
+from selfvio.dataio import FormatError, load_sequence
 
 
 def _hash_dir(root):
@@ -284,3 +287,44 @@ def test_malformed_csv_is_data_error(tmp_path, small_dataset, verb, case):
                                    "--out", out],
     }[verb]
     assert main(argv) == 3
+
+
+def _malform_lines(lines, case):
+    """The four MALFORMED_BODIES cases applied to a real CSV's lines:
+    the non-numeric cell goes in the t column, which every loader parses."""
+    last = lines[-1].split(",")
+    return {
+        "empty": [],
+        "header only": lines[:1],
+        "non-numeric cell": lines[:-1] + [",".join(["abc"] + last[1:])],
+        "short row": lines[:-1] + [",".join(last[:-1])],
+    }[case]
+
+
+@pytest.mark.parametrize("name", ["frames.csv", "imu.csv"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_BODIES))
+def test_malformed_dataset_csv_is_data_error(tmp_path, small_dataset, name, case):
+    ds = os.path.join(tmp_path, "ds")
+    shutil.copytree(small_dataset[0], ds)
+    path = os.path.join(ds, name)
+    lines = open(path).read().splitlines()
+    body = "".join(ln + "\n" for ln in _malform_lines(lines, case)).encode("ascii")
+    with open(path, "wb") as f:
+        f.write(body)
+    # keep the checksum valid so the loader reaches the parser
+    man_path = os.path.join(ds, "manifest.json")
+    doc = json.loads(open(man_path).read())
+    doc["files"][name] = hashlib.sha256(body).hexdigest()
+    _write(man_path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    with pytest.raises(FormatError):
+        load_sequence(ds)
+    assert main(["estimate", "--dataset", ds, "--out", os.path.join(tmp_path, "est")]) == 3
+
+
+@pytest.mark.parametrize("mode", ["sim3", "se3"])
+def test_eval_collinear_groundtruth_is_data_error(tmp_path, small_dataset, mode):
+    """GEN_SMALL flies a straight line: its ground truth cannot fix a
+    rotation, which is a property of the data, not of the call."""
+    ds, good = small_dataset
+    assert main(["eval", "--est", good, "--gt", ds, "--mode", mode,
+                 "--out", os.path.join(tmp_path, "ev")]) == 3

@@ -1,4 +1,4 @@
-"""Dataset format, loaders/writers, synchronization."""
+"""Dataset format, loaders and writers."""
 
 import os
 
@@ -7,10 +7,10 @@ import pytest
 
 from conftest import small_intrinsics
 
-from selfvio.dataio import (ChecksumMismatchError, DatasetError, DatasetWriter,
+from selfvio.dataio import (ChecksumMismatchError, DatasetWriter,
                             FormatError, MissingFileError,
                             NonMonotoneTimestampError, load_sequence,
-                            pgm16_bytes, read_pgm16, synchronize, write_pgm16)
+                            pgm16_bytes, read_pgm16, write_pgm16)
 from selfvio.synth import (R_CB, RefDynamicsParams, SceneSpec, TrajectorySpec,
                            camera_pose, render, simulate_imu_motors)
 
@@ -114,47 +114,6 @@ def test_non_monotone_timestamps_error(tmp_path, rng):
         load_sequence(root)
     assert err.value.stream == "imu.csv"
     assert err.value.index == 3
-
-
-def test_synchronize_uniform_stream():
-    frame_t = np.arange(0, 1.0, 1 / 120)
-    imu_t = np.arange(0, 1.0, 1 / 500)
-    records, head, tail = synchronize(frame_t, imu_t)
-    assert len(records) == len(frame_t) - 1
-    assert all(not r.gap for r in records)
-    assert all(abs(r.dt - 1 / 120) < 1e-12 for r in records)
-
-
-def test_synchronize_gap_flags():
-    frame_t = list(np.arange(0, 1.0, 1 / 60))
-    removed = frame_t[7::7][:3]
-    kept = [t for t in frame_t if t not in removed]
-    records, _, _ = synchronize(np.array(kept), np.arange(0, 1.0, 1 / 500))
-    gaps = [r for r in records if r.gap]
-    assert len(gaps) == 3
-    for r in gaps:
-        assert abs(r.dt - 2 / 60) < 1e-9
-
-
-def test_synchronize_partition_counts():
-    """IMU at 500 Hz / camera at 120 Hz: 4-5 samples per interval; every
-    sample lands in exactly one record or the head/tail remainder."""
-    frame_t = np.arange(0, 2.0, 1 / 120) + 0.003
-    imu_t = np.arange(0, 2.0, 1 / 500)
-    records, head, tail = synchronize(frame_t, imu_t)
-    counts = [r.imu_slice[1] - r.imu_slice[0] for r in records]
-    assert set(counts) <= {4, 5}
-    total = sum(counts) + (head[0][1] - head[0][0]) + (tail[0][1] - tail[0][0])
-    assert total == len(imu_t)
-    # contiguity: intervals tile the stream
-    edges = [head[0][1]] + [r.imu_slice[1] for r in records]
-    for r, start in zip(records, edges[:-1]):
-        assert r.imu_slice[0] == start
-
-
-def test_synchronize_empty_camera_stream():
-    with pytest.raises(DatasetError):
-        synchronize(np.array([]), np.arange(10.0))
 
 
 def test_depth_exceeding_scale_rejected(tmp_path):

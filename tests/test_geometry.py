@@ -7,8 +7,9 @@ from conftest import small_intrinsics, smooth_image
 
 from selfvio import autodiff as ad
 from selfvio.geometry import (CameraIntrinsics, ContractViolation, SE3Pose,
-                              inverse_warp, pose_entries, project,
-                              project_grid, se3_exp, se3_log, warp_depth)
+                              inverse_warp, invert_entries, pose_entries,
+                              project, project_grid, rotvec_to_matrix,
+                              se3_exp, se3_exp_entries, se3_log, warp_depth)
 
 
 def brute_force_mask(depth_t, K, pose):
@@ -99,6 +100,51 @@ def test_se3_log_exp_roundtrip(rng):
 def test_se3_exp_quarter_turn_rotates_x_to_y():
     p = se3_exp(np.array([0, 0, 0, 0, 0, np.pi / 2]))
     assert np.allclose(p.apply(np.array([1.0, 0, 0])), [0, 1, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-4, 1.0])
+def test_se3_exp_entries_vjp_matches_fd(rng, angle):
+    """Closed-form VJPs of both outputs, and of their inverse, against
+    central differences, on the Taylor branch (xi = 0), near it and at a
+    large rotation."""
+    phi = rng.normal(size=3)
+    xi = np.concatenate([rng.normal(scale=0.5, size=3) if angle else np.zeros(3),
+                         angle * phi / np.linalg.norm(phi)])
+    G, h = rng.normal(size=(3, 3)), rng.normal(size=3)
+    eps = 1e-6
+
+    def outputs(x):
+        R, t = se3_exp_entries(x)
+        return (R, t) + invert_entries(R, t)
+
+    for k, W in enumerate((G, h, G, h)):
+        v = ad.Var(xi)
+        ad.asum(outputs(v)[k] * W).backward()
+        fd = np.empty(6)
+        for i in range(6):
+            e = np.zeros(6); e[i] = eps
+            fd[i] = (np.sum(outputs(xi + e)[k] * W)
+                     - np.sum(outputs(xi - e)[k] * W)) / (2 * eps)
+        assert np.allclose(v.grad, fd, rtol=1e-6, atol=1e-9), (k, v.grad, fd)
+
+
+def test_se3_exp_entries_one_node_per_output(rng):
+    v = ad.Var(rng.normal(scale=0.3, size=6))
+    R, t = se3_exp_entries(v)
+    assert R.shape == (3, 3) and t.shape == (3,)
+    assert R._parents == (v,) and t._parents == (v,)
+    Ri, ti = invert_entries(R, t)
+    assert np.allclose(Ri.value @ R.value, np.eye(3), atol=1e-14)
+    assert np.allclose(Ri.value @ t.value + ti.value, 0.0, atol=1e-14)
+
+
+def test_se3_exp_entries_rotation_is_rotvec_to_matrix(rng):
+    for scale in (0.0, 1e-9, 1e-4, 0.1, 1.0, 3.0):
+        for _ in range(50):
+            xi = rng.normal(scale=scale, size=6)
+            assert np.array_equal(se3_exp_entries(xi)[0], rotvec_to_matrix(xi[3:]))
+            assert np.array_equal(se3_exp_entries(ad.Var(xi))[0].value,
+                                  rotvec_to_matrix(xi[3:]))
 
 
 def test_compose_inverse_is_identity(rng):
