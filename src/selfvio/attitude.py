@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ContractViolation, quat_mul, quat_normalize,
-                       quat_to_matrix)
+from .geometry import (ContractViolation, quat_from_axis_angle, quat_mul,
+                       quat_normalize, quat_to_matrix)
+from .synth import G_WORLD, GRAVITY
 
-GRAVITY = 9.81
+GAIN = 0.02                 # accepted correction per sample (rad per unit tilt)
+GATE = (0.95, 1.05)         # accepted |accel| / g, closed interval
+INIT_WINDOW = 0.5           # seconds of accel averaged for the initial tilt
 
 
 @dataclass
@@ -34,25 +37,14 @@ class AttitudeState:
         return quat_to_matrix(self.q_bw)
 
 
-@dataclass
 class AttitudeFilter:
-    gain: float = 0.02
-    gate_low: float = 0.95
-    gate_high: float = 1.05
-    gravity: float = GRAVITY
-
     def propagate(self, state: AttitudeState, gyro, dt: float) -> AttitudeState:
         """First-order quaternion exponential update from body rates."""
         if dt <= 0:
             raise ContractViolation("dt must be positive")
         gyro = np.asarray(gyro, dtype=np.float64)
-        ang = np.linalg.norm(gyro) * dt
-        if ang == 0.0:
-            return AttitudeState(state.q_bw.copy(), state.t + dt)
-        axis = gyro * (dt / ang)
-        half = 0.5 * ang
         # body rotates by exp(w dt): q_bw' = exp(-w dt / 2) * q_bw
-        dq = np.concatenate(([np.cos(half)], -np.sin(half) * axis))
+        dq = quat_from_axis_angle(gyro, -np.linalg.norm(gyro) * dt)
         return AttitudeState(quat_mul(dq, state.q_bw), state.t + dt)
 
     def correction_vector(self, state: AttitudeState, accel) -> np.ndarray:
@@ -64,11 +56,10 @@ class AttitudeFilter:
         """
         accel = np.asarray(accel, dtype=np.float64)
         norm = np.linalg.norm(accel)
-        ratio = norm / self.gravity
-        if not (self.gate_low <= ratio <= self.gate_high):
+        if not (GATE[0] <= norm / GRAVITY <= GATE[1]):
             return np.zeros(3)
         up_est = state.rotation_bw() @ np.array([0.0, 0.0, 1.0])
-        return self.gain * np.cross(up_est, accel / norm)
+        return GAIN * np.cross(up_est, accel / norm)
 
     def accel_update(self, state: AttitudeState, accel) -> AttitudeState:
         """Gated complementary correction toward the measured gravity."""
@@ -76,14 +67,11 @@ class AttitudeFilter:
         ang = np.linalg.norm(corr)
         if ang == 0.0:
             return state
-        axis = corr / ang
-        half = 0.5 * ang
-        dq = np.concatenate(([np.cos(half)], np.sin(half) * axis))
-        return AttitudeState(quat_mul(dq, state.q_bw), state.t)
+        return AttitudeState(quat_mul(quat_from_axis_angle(corr, ang), state.q_bw), state.t)
 
     def gravity_body(self, state: AttitudeState) -> np.ndarray:
         """World gravity rotated into the body frame (hover: a_z + g_z = 0)."""
-        return state.rotation_bw() @ np.array([0.0, 0.0, -self.gravity])
+        return state.rotation_bw() @ G_WORLD
 
     def init_from_accel(self, accel_mean, t=0.0) -> AttitudeState:
         """Roll/pitch from a (near-)static accel average; yaw set to zero."""
@@ -92,33 +80,25 @@ class AttitudeFilter:
         if n == 0:
             raise ContractViolation("zero accelerometer average")
         up_meas = a / n
-        z = np.array([0.0, 0.0, 1.0])
-        c = float(np.clip(up_meas @ z, -1.0, 1.0))
-        axis = np.cross(z, up_meas)
+        axis = np.cross([0.0, 0.0, 1.0], up_meas)
         s = np.linalg.norm(axis)
-        if s < 1e-12:
-            q = np.array([1.0, 0.0, 0.0, 0.0]) if c > 0 else np.array([0.0, 1.0, 0.0, 0.0])
-        else:
-            ang = np.arctan2(s, c)
-            q = np.concatenate(([np.cos(0.5 * ang)], np.sin(0.5 * ang) * axis / s))
-        return AttitudeState(q, t)
+        ang = np.arctan2(s, up_meas[2])
+        if s < 1e-12:               # measured up is +-z: any horizontal axis
+            axis = np.array([1.0, 0.0, 0.0])
+        return AttitudeState(quat_from_axis_angle(axis, ang), t)
 
-    def run(self, t, gyro, accel, init_window=0.5, init_state=None):
+    def run(self, t, gyro, accel):
         """Filter a whole IMU stream.
 
-        Initializes from the first `init_window` seconds of accel
-        averages unless an explicit initial state is given. Returns
-        (quaternions (N,4) body<-world, gravity_body (N,3)).
+        Initializes from the first INIT_WINDOW seconds of accel averages.
+        Returns (quaternions (N,4) body<-world, gravity_body (N,3)).
         """
         t = np.asarray(t, dtype=np.float64)
         gyro = np.asarray(gyro, dtype=np.float64)
         accel = np.asarray(accel, dtype=np.float64)
         n = len(t)
-        if init_state is None:
-            k = max(1, int(np.searchsorted(t, t[0] + init_window)))
-            state = self.init_from_accel(accel[:k].mean(axis=0), t[0])
-        else:
-            state = init_state
+        k = max(1, int(np.searchsorted(t, t[0] + INIT_WINDOW)))
+        state = self.init_from_accel(accel[:k].mean(axis=0), t[0])
         quats = np.empty((n, 4))
         g_body = np.empty((n, 3))
         quats[0] = state.q_bw

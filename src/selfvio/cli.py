@@ -20,7 +20,8 @@ import numpy as np
 
 from . import dataio, dronemodel, evalign, fusion, losses, poseopt, synth
 from .attitude import AttitudeFilter
-from .geometry import CameraIntrinsics, ContractViolation, quat_to_matrix
+from .geometry import (CameraIntrinsics, ContractViolation, quat_conj,
+                       quat_to_matrix)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -230,6 +231,7 @@ TRAIN_DEFAULTS = {
 
 def _read_velocities(path, header):
     arr = dataio._read_floats(path, header)
+    dataio._check_monotone(arr[:, 0], path)
     return arr[:, 0], arr[:, 1:4]
 
 
@@ -242,17 +244,23 @@ def _rpm_at_imu(ds: dataio.DatasetBundle):
     return rpm
 
 
+def _groundtruth_at(ds: dataio.DatasetBundle, t):
+    """Ground-truth R_wb (N, 3, 3) and body velocity (N, 3) at the times t,
+    from the first ground-truth sample at or after each time."""
+    gt = ds.groundtruth
+    if gt is None:
+        raise dataio.DatasetError("dataset has no groundtruth.csv")
+    k = np.clip(np.searchsorted(gt["t"], t), 0, len(gt["t"]) - 1)
+    R_wb = quat_to_matrix(gt["quat_wb"][k])
+    return R_wb, np.einsum("nij,nj->ni", R_wb.transpose(0, 2, 1), gt["vel_w"][k])
+
+
 def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, seq_id=None,
                            attitude="ekf"):
     cam_t, v_cam = _read_velocities(vel_path, "t,vcx,vcy,vcz")
     if attitude == "groundtruth":
-        if ds.groundtruth is None:
-            raise dataio.DatasetError("dataset has no groundtruth.csv")
-        idx = np.clip(np.searchsorted(ds.groundtruth["t"], ds.imu.t), 0,
-                      len(ds.groundtruth["t"]) - 1)
-        R_bw = np.stack([quat_to_matrix(q).T
-                         for q in ds.groundtruth["quat_wb"][idx]])
-        g_b = np.einsum("nij,j->ni", R_bw, np.array([0.0, 0.0, -9.81]))
+        R_wb, _ = _groundtruth_at(ds, ds.imu.t)
+        g_b = np.einsum("nij,j->ni", R_wb.transpose(0, 2, 1), synth.G_WORLD)
     elif attitude == "ekf":
         att = AttitudeFilter()
         quats, g_b = att.run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
@@ -328,23 +336,17 @@ FUSE_DEFAULTS = {
 def cmd_fuse(args):
     cfg = _coerce(FUSE_DEFAULTS, _parse_config(args.config, FUSE_DEFAULTS))
     ds = dataio.load_sequence(args.dataset)
-    if ds.groundtruth is None:
-        raise dataio.DatasetError("fuse requires groundtruth.csv in the dataset")
+    _, vel_b_true = _groundtruth_at(ds, ds.frames.t)
     model = dronemodel.load_params(args.model) if args.model else None
     gt = ds.groundtruth
     if cfg["attitude"] == "groundtruth":
-        R_wb = np.stack([quat_to_matrix(q) for q in gt["quat_wb"]])
+        R_wb, _ = _groundtruth_at(ds, ds.imu.t)
     elif cfg["attitude"] == "ekf":
-        att = AttitudeFilter()
-        quats, _ = att.run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
-        R_wb = np.stack([quat_to_matrix(q).T for q in quats])
+        quats, _ = AttitudeFilter().run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
+        R_wb = quat_to_matrix(quat_conj(quats))     # R_bw^T, bit for bit
     else:
         raise ConfigError("attitude must be 'ekf' or 'groundtruth'")
 
-    R_gt = np.stack([quat_to_matrix(q) for q in gt["quat_wb"]])
-    vel_b_true = np.einsum("nij,nj->ni", R_gt.transpose(0, 2, 1), gt["vel_w"])
-
-    cam_idx = np.clip(np.searchsorted(ds.imu.t, ds.frames.t), 0, len(ds.imu.t) - 1)
     drops = []
     if cfg["dropout_period"] > 0 and cfg["dropout_len"] > 0:
         t0 = float(ds.frames.t[0]) + cfg["dropout_period"] * 0.5
@@ -363,7 +365,7 @@ def cmd_fuse(args):
                                  vis_noise_std=cfg["vis_noise_std"],
                                  accel_noise_std=cfg["accel_noise_std"])
         vis_t, vis_v = fusion.make_visual_measurements(
-            ds.frames.t, vel_b_true[cam_idx], fc, seed=seed,
+            ds.frames.t, vel_b_true, fc, seed=seed,
             dropout_windows=drops)
         last = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro, rpm,
                                  R_wb, vis_t, vis_v, model, fc,
@@ -394,6 +396,7 @@ EVAL_DEFAULTS = {"mode": "sim3", "bin_width": 1.0, "speed_floor": 0.5}
 
 def _read_trajectory_csv(path):
     arr = dataio._read_floats(path, ("t", "px", "py", "pz"))
+    dataio._check_monotone(arr[:, 0], path)
     return evalign.TrajectoryEstimate(t=arr[:, 0], pos=arr[:, 1:4])
 
 
@@ -417,13 +420,9 @@ def cmd_eval(args):
     if args.vel_est:
         if not os.path.isdir(args.gt):
             raise ConfigError("--vel-est needs a dataset directory as --gt")
-        ds = dataio.load_sequence(args.gt)
-        gtd = ds.groundtruth
         vt, vb = _read_velocities(args.vel_est, "t,vx,vy,vz")
-        R_gt = np.stack([quat_to_matrix(q) for q in gtd["quat_wb"]])
-        vb_gt = np.einsum("nij,nj->ni", R_gt.transpose(0, 2, 1), gtd["vel_w"])
-        idx = np.clip(np.searchsorted(gtd["t"], vt), 0, len(gtd["t"]) - 1)
-        bins = evalign.relative_velocity_error(vb, vb_gt[idx],
+        _, vb_gt = _groundtruth_at(ds, vt)
+        bins = evalign.relative_velocity_error(vb, vb_gt,
                                                bin_width=cfg["bin_width"],
                                                speed_floor=cfg["speed_floor"])
         _write_text(os.path.join(args.out, "velocity_bins.csv"),

@@ -44,15 +44,15 @@ class ChecksumMismatchError(DatasetError):
     pass
 
 
-class NonMonotoneTimestampError(DatasetError):
+class FormatError(DatasetError):
+    pass
+
+
+class NonMonotoneTimestampError(FormatError):
     def __init__(self, stream, index):
         super().__init__(f"non-monotone timestamp in {stream} at row {index}")
         self.stream = stream
         self.index = index
-
-
-class FormatError(DatasetError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -128,13 +128,16 @@ def _read_csv(path, expect_header):
 
 def _floats(path, rows):
     """CSV rows of `path` parsed to a float64 (rows, columns) array; no rows
-    or a non-numeric cell is a FormatError."""
+    or a non-numeric or non-finite cell is a FormatError."""
     if not rows:
         raise FormatError(f"{path}: no data rows")
     try:
-        return np.array([[float(x) for x in r] for r in rows])
+        arr = np.array([[float(x) for x in r] for r in rows])
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path}: non-finite cell")
+    return arr
 
 
 def _read_floats(path, expect_header):

@@ -25,7 +25,7 @@ in the test suite are the independent oracle).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -461,6 +461,12 @@ def _batched_windows_loss_and_grads(params: DroneModelParams, preps,
     return loss
 
 
+# train() gives up once the batch loss has stayed above DIVERGENCE_FACTOR
+# times the first step's loss for DIVERGENCE_PATIENCE consecutive steps
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 100
+
+
 @dataclass
 class TrainConfig:
     steps: int = 1500
@@ -472,9 +478,6 @@ class TrainConfig:
     cutoff_hz: float = 5.0
     seed: int = 0
     init_scale: float = 1.0
-    scale_grid_init: bool = True
-    divergence_factor: float = 10.0
-    divergence_patience: int = 100
 
     def __post_init__(self):
         if self.lr <= 0 or self.steps < 0 or self.batch < 1:
@@ -518,18 +521,16 @@ def compute_norm_stats(prepared, init_scale=1.0):
     return X.mean(axis=0), np.maximum(X.std(axis=0), _STD_FLOOR)
 
 
-def _grid_init_scales(params, prepared, rng, candidates=None):
+def _grid_init_scales(params, prepared, rng):
     """Coarse per-sequence scale init: probe window losses over a grid
     with the freshly initialized MLP and keep each sequence's argmin."""
-    if candidates is None:
-        candidates = np.geomspace(0.25, 4.0, 13)
     for p in prepared:
         rate = 1.0 / float(np.median(p.dt))
         n_steps = min(int(round(1.5 * rate)), len(p.dt) - 1)
         kmax = max(1, int(np.searchsorted(p.sample_step, len(p.dt) - n_steps)) - 1)
         anchors = [int(rng.integers(0, kmax)) for _ in range(4)]
         best = (np.inf, params.scales[p.seq_id])
-        for s in candidates:
+        for s in np.geomspace(0.25, 4.0, 13):
             params.scales[p.seq_id] = float(s)
             loss = _batched_windows_loss_and_grads(params, [p] * len(anchors), anchors,
                                                    n_steps, None)
@@ -552,7 +553,7 @@ def train(sequences, cfg: TrainConfig, params=None):
         mean, std = compute_norm_stats(prepared, cfg.init_scale)
         params = init_params(rng, mean, std,
                              {p.seq_id: cfg.init_scale for p in prepared})
-        if cfg.scale_grid_init and cfg.steps > 0:
+        if cfg.steps > 0:
             _grid_init_scales(params, prepared, rng)
     else:
         params = params.copy()
@@ -599,12 +600,12 @@ def train(sequences, cfg: TrainConfig, params=None):
         history.append(batch_loss)
         if initial_loss is None:
             initial_loss = batch_loss
-        if batch_loss > cfg.divergence_factor * max(initial_loss, 1e-12):
+        if batch_loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
             over += 1
-            if over >= cfg.divergence_patience:
+            if over >= DIVERGENCE_PATIENCE:
                 raise DivergenceError(
-                    f"loss above {cfg.divergence_factor}x initial for "
-                    f"{cfg.divergence_patience} consecutive steps")
+                    f"loss above {DIVERGENCE_FACTOR}x initial for "
+                    f"{DIVERGENCE_PATIENCE} consecutive steps")
         else:
             over = 0
     return params, history

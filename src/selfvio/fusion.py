@@ -12,13 +12,17 @@ processing rate; dropout windows emulate challenging visual conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dronemodel import DroneModelParams, _specific_force
 from .geometry import ContractViolation
 from .synth import G_WORLD
+
+
+INIT_POS_STD = 0.01                # m, initial position uncertainty
+INIT_VEL_STD = 0.01                # m/s, initial velocity uncertainty
 
 
 class FilterDivergence(RuntimeError):
@@ -33,8 +37,6 @@ class FusionConfig:
     update_rate: float = 120.0         # visual update rate (Hz)
     vis_noise_std: float = 0.1         # m/s
     accel_noise_std: float = 0.05      # m/s^2
-    init_pos_std: float = 0.01
-    init_vel_std: float = 0.01
 
     def __post_init__(self):
         if not (0.0 <= self.model_weight <= 1.0):
@@ -68,11 +70,10 @@ class FilterResult:
     n_updates: int = 0
 
 
-def select_update_times(cam_t, update_rate, cam_rate=None):
+def select_update_times(cam_t, update_rate):
     """Subsample camera timestamps down to the processing rate."""
     cam_t = np.asarray(cam_t, dtype=np.float64)
-    if cam_rate is None:
-        cam_rate = 1.0 / float(np.median(np.diff(cam_t)))
+    cam_rate = 1.0 / float(np.median(np.diff(cam_t)))
     stride = max(1, int(round(cam_rate / update_rate)))
     return cam_t[::stride]
 
@@ -103,7 +104,7 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
         raise ContractViolation("model required when model_weight > 0")
     p = np.zeros(3) if p0 is None else np.asarray(p0, dtype=np.float64).copy()
     v = np.zeros(3) if v0 is None else np.asarray(v0, dtype=np.float64).copy()
-    P = np.diag([cfg.init_pos_std ** 2] * 3 + [cfg.init_vel_std ** 2] * 3)
+    P = np.diag([INIT_POS_STD ** 2] * 3 + [INIT_VEL_STD ** 2] * 3)
     R_meas = (cfg.vis_noise_std ** 2) * np.eye(3)
 
     pos = np.empty((n, 3))

@@ -3,7 +3,8 @@
 Conventions (fixed across the package):
   - camera frame: x right, y down, z forward; pixel centers at integer
     coordinates; pinhole, no distortion,
-  - quaternions are Hamilton, (w, x, y, z), unit norm,
+  - quaternions are Hamilton, (w, x, y, z), unit norm; quat_mul, quat_conj,
+    quat_to_matrix and quat_to_rotvec take one (4,) or an (N, 4) stack,
   - an SE3Pose applied to a point computes R @ p + t,
   - twists are 6-vectors (translation[3], rotation[3]); se3_exp uses the
     standard closed form with the V matrix coupling the two blocks.
@@ -16,6 +17,7 @@ differentiate straight through the warp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,28 +70,52 @@ def quat_normalize(q):
     return q / np.linalg.norm(q)
 
 
+def _wxyz(q):
+    """Components of one quaternion, as floats (twice as fast as numpy
+    scalars), or of an (N, 4) stack, as four (N,) arrays."""
+    q = np.asarray(q)
+    return q.tolist() if q.ndim == 1 else q.T
+
+
 def quat_mul(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    """Hamilton product a * b of two quaternions or (N, 4) stacks."""
+    aw, ax, ay, az = _wxyz(a)
+    bw, bx, by, bz = _wxyz(b)
     return np.array([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ]).T
+
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_conj(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q) * _CONJ
 
 
 def quat_to_matrix(q):
-    w, x, y, z = q
+    """Rotation matrix (3, 3) of a quaternion, or (N, 3, 3) of an (N, 4) stack."""
+    w, x, y, z = _wxyz(q)
     return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]).T.reshape(np.shape(q)[:-1] + (3, 3))
+
+
+def quat_to_rotvec(q):
+    """Rotation vector (axis * angle, angle in [0, pi]) of a unit quaternion
+    or an (N, 4) stack: the log map, angle = 2 atan2(|v|, |w|)."""
+    q = np.asarray(q, dtype=np.float64)
+    q = np.where(q[..., :1] < 0, -q, q)        # -q is the same rotation
+    w, v = q[..., 0], q[..., 1:]
+    vn = np.linalg.norm(v, axis=-1)
+    small = vn < 1e-12
+    scale = np.where(small, 2.0, 2.0 * np.arctan2(vn, w) / np.where(small, 1.0, vn))
+    return v * scale[..., None]
 
 
 def matrix_to_quat(R):
@@ -124,17 +150,29 @@ def quat_from_axis_angle(axis, angle):
     return np.concatenate(([np.cos(half)], np.sin(half) * axis / n))
 
 
+# Power-series coefficients of A, B, C in t2 = theta^2, highest power
+# first: (-1)^k / (2k + n)! for n = 1, 2, 3; for t2 < 1 ten terms reach
+# rounding level.
+_SERIES = tuple(tuple((-1.0) ** k / math.factorial(2 * k + n) for n in (1, 2, 3))
+                for k in reversed(range(10)))
+
+
 def _exp_coeffs(t2):
     """Coefficients of the exponential at theta^2 = t2, and their t2-derivatives.
 
     Returns (A, B, C, dA, dB, dC) with A = sin(th)/th, B = (1 - cos th)/th^2
     and C = (1 - A)/th^2, so that exp(phi^) = I + A K + B K^2 and the SE(3)
-    V matrix is I + B K + C K^2 (K = skew(phi)). Below 1e-16 a Taylor
-    branch in t2 avoids the 0/0.
+    V matrix is I + B K + C K^2 (K = skew(phi)). The closed forms lose up
+    to eps/th^4 to cancellation, so below th = 1 the power series replaces
+    them.
     """
-    if t2 < 1e-16:
-        return (1.0 - t2 / 6.0, 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0,
-                -1.0 / 6.0, -1.0 / 24.0, -1.0 / 120.0)
+    if t2 < 1.0:
+        # Horner's rule, carrying each polynomial's derivative along
+        A = B = C = dA = dB = dC = 0.0
+        for a, b, c in _SERIES:
+            dA, dB, dC = dA * t2 + A, dB * t2 + B, dC * t2 + C
+            A, B, C = A * t2 + a, B * t2 + b, C * t2 + c
+        return A, B, C, dA, dB, dC
     th = np.sqrt(t2)
     c = np.cos(th)
     A = np.sin(th) / th
@@ -216,14 +254,9 @@ def se3_exp(xi) -> SE3Pose:
 
 def se3_log(pose: SE3Pose) -> np.ndarray:
     """Inverse of se3_exp for rotations below pi."""
-    R = pose.rotation_matrix()
-    cos_th = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
-    th = np.arccos(cos_th)
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    phi = 0.5 * w if th < 1e-8 else th / (2.0 * np.sin(th)) * w
-    t2 = float(phi @ phi)
-    A, B = _exp_coeffs(t2)[:2]
-    D = 1.0 / 12.0 if t2 < 1e-16 else (1.0 - A / (2.0 * B)) / t2
+    phi = quat_to_rotvec(pose.q)
+    _, B, _, _, dB, _ = _exp_coeffs(float(phi @ phi))
+    D = -dB / B         # (1 - A / 2B) / th^2 without its cancellation
     K = skew(phi)
     Vinv = np.eye(3) - 0.5 * K + D * (K @ K)
     return np.concatenate([Vinv @ pose.t, phi])

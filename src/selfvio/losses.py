@@ -45,7 +45,6 @@ class LossConfig:
     lambda2: float = 0.001
     scheme: str = SCHEME_2F
     ssim_window: int = 3
-    normalize_disparity: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -262,7 +261,7 @@ def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossC
 
         smooth_img, smooth_depth = cur_img, cur_depth
 
-    smooth = smoothness_loss(1.0 / smooth_depth, smooth_img, cfg.normalize_disparity)
+    smooth = smoothness_loss(1.0 / smooth_depth, smooth_img)
     total = photo + cfg.lambda1 * depth_l + cfg.lambda2 * smooth
 
     diag.photometric = float(ad.value(photo))

@@ -20,15 +20,14 @@ rotation rate and the accelerometer as the mid-interval specific force
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (ContractViolation, CameraIntrinsics, SE3Pose,
-                       matrix_to_quat, quat_conj, quat_mul, quat_to_matrix,
-                       rotvec_to_matrix)
+                       matrix_to_quat, quat_conj, quat_mul, quat_to_rotvec)
 
-GRAVITY = 9.81
+GRAVITY = 9.81                     # m/s^2, shared by the filters and the CLI
 G_WORLD = np.array([0.0, 0.0, -GRAVITY])
 
 # camera axes expressed in the body frame (camera z = body x, etc.)
@@ -74,17 +73,15 @@ class _ValueNoise:
 class _SurfaceTexture:
     """Smooth value-noise + sinusoidal pseudo-checker, values in [0,1]."""
 
-    def __init__(self, seed, checker_period=0.8, phase=0.0, contrast=1.0, cell=0.55):
-        self.noise = _ValueNoise(seed, cell=cell)
+    def __init__(self, seed, checker_period=0.8, phase=0.0):
+        self.noise = _ValueNoise(seed)
         self.period = checker_period
         self.phase = phase
-        self.contrast = contrast
 
     def __call__(self, u, v):
         w = 2.0 * np.pi / self.period
         checker = np.sin(w * u + self.phase) * np.sin(w * v + self.phase)
-        return 0.5 + self.contrast * (0.22 * checker
-                                      + 0.24 * (2.0 * self.noise(u, v) - 1.0))
+        return 0.5 + (0.22 * checker + 0.24 * (2.0 * self.noise(u, v) - 1.0))
 
 
 @dataclass
@@ -101,8 +98,6 @@ class SceneSpec:
     gate_inner: tuple = (0.5, 0.5)             # hole half-extents (y, z)
     gate_outer: tuple = (0.95, 0.95)           # frame half-extents (y, z)
     texture_seed: int = 0
-    texture_contrast: float = 1.0
-    texture_cell: float = 0.55                 # value-noise cell size (m)
 
     def __post_init__(self):
         if not (self.box_back < self.gate_x < self.bg_depth):
@@ -112,8 +107,7 @@ class SceneSpec:
             raise ContractViolation("gate inner extents must be inside outer extents")
         self._textures = [
             _SurfaceTexture(self.texture_seed + i, checker_period=0.7 + 0.13 * i,
-                            phase=0.37 * i, contrast=self.texture_contrast,
-                            cell=self.texture_cell)
+                            phase=0.37 * i)
             for i in range(7)
         ]
 
@@ -420,16 +414,18 @@ def trajectory_state(spec: TrajectorySpec, t):
 # reference dynamics
 
 
+MASS = 0.8                         # kg
+KT = 2.0e-8                        # N per rpm^2, per rotor
+
+
 @dataclass
 class RefDynamicsParams:
-    mass: float = 0.8              # kg
     kx: float = 0.5                # 1/s
     ky: float = 0.8                # 1/s
-    kT: float = 2.0e-8             # N per rpm^2, per rotor
     accel_z_bias: float = 0.0      # planted accelerometer-z residual (m/s^2)
 
     def __post_init__(self):
-        if min(self.mass, self.kx, self.ky, self.kT) <= 0:
+        if min(self.kx, self.ky) <= 0:
             raise ContractViolation("dynamics parameters must be positive")
 
 
@@ -528,26 +524,6 @@ class SimulationResult:
     cam_poses: list         # SE3Pose world<-camera per camera sample
 
 
-def _rel_rotvec(q_a, q_b):
-    """Rotation vector of R_a^T R_b, vectorized over leading axis."""
-    # full quaternion conj(q_a) * q_b
-    aw, ax, ay, az = q_a[:, 0], -q_a[:, 1], -q_a[:, 2], -q_a[:, 3]
-    bw, bx, by, bz = q_b[:, 0], q_b[:, 1], q_b[:, 2], q_b[:, 3]
-    w = aw * bw - ax * bx - ay * by - az * bz
-    vx = aw * bx + ax * bw + ay * bz - az * by
-    vy = aw * by - ax * bz + ay * bw + az * bx
-    vz = aw * bz + ax * by - ay * bx + az * bw
-    vv = np.stack([vx, vy, vz], axis=-1)
-    neg = w < 0
-    w = np.where(neg, -w, w)
-    vv = np.where(neg[:, None], -vv, vv)
-    vn = np.linalg.norm(vv, axis=-1)
-    ang = 2.0 * np.arctan2(vn, w)
-    small = vn < 1e-12
-    scale = np.where(small, 2.0, ang / np.where(small, 1.0, vn))
-    return vv * scale[:, None]
-
-
 def _quats_from_R(R):
     return np.stack([matrix_to_quat(Ri) for Ri in R])
 
@@ -572,7 +548,7 @@ def simulate_imu_motors(traj: TrajectorySpec, dyn: RefDynamicsParams,
 
     # gyro: average rate over each interval
     gyro = np.zeros((n, 3))
-    gyro[:-1] = _rel_rotvec(q[:-1], q[1:]) / dt
+    gyro[:-1] = quat_to_rotvec(quat_mul(quat_conj(q[:-1]), q[1:])) / dt
     gyro[-1] = gyro[-2]
 
     # accel: specific force at interval midpoints
@@ -586,8 +562,8 @@ def simulate_imu_motors(traj: TrajectorySpec, dyn: RefDynamicsParams,
     accel[:, 2] += dyn.accel_z_bias
 
     # motors: equal split of the required thrust at midpoints
-    thrust = dyn.mass * f_spec_m
-    rpm1 = np.sqrt(thrust / (4.0 * dyn.kT))
+    thrust = MASS * f_spec_m
+    rpm1 = np.sqrt(thrust / (4.0 * KT))
     rpm = np.zeros((n, 4))
     rpm[:-1] = rpm1[:, None]
     rpm[-1] = rpm[-2]

@@ -217,9 +217,9 @@ def test_fuse_jobs_flag_deterministic(tmp_path):
         open(os.path.join(o2, "sweep.csv")).read()
 
 
-def test_fuse_resamples_half_rate_motors(tmp_path):
-    """motors.csv at half the IMU rate: the model term reads RPM at IMU
-    timestamps instead of indexing past the motor stream."""
+def _thinned_dataset(tmp_path, motors_stride=1, gt_stride=1):
+    """A 2 s ellipse dataset at 100 Hz IMU whose motors.csv and
+    groundtruth.csv keep every n-th IMU-rate sample, plus a model file."""
     from conftest import small_intrinsics
     from selfvio.dataio import DatasetWriter
     from selfvio.dronemodel import init_params, save_params
@@ -234,17 +234,40 @@ def test_fuse_resamples_half_rate_motors(tmp_path):
     for i, pose in enumerate(sim.cam_poses):
         w.add_frame(sim.cam_t[i], render(SceneSpec(), pose, K).image)
     w.write_imu(sim.imu)
-    w.write_motors(MotorStream(t=sim.motors.t[::2], rpm=sim.motors.rpm[::2]))
-    w.write_groundtruth(sim.t_gt, sim.pos_w, sim.quat_wb, sim.vel_w)
+    w.write_motors(MotorStream(t=sim.motors.t[::motors_stride],
+                               rpm=sim.motors.rpm[::motors_stride]))
+    k = slice(None, None, gt_stride)
+    w.write_groundtruth(sim.t_gt[k], sim.pos_w[k], sim.quat_wb[k], sim.vel_w[k])
     w.finalize()
     model = os.path.join(tmp_path, "m.json")
     save_params(model, init_params(np.random.default_rng(0), scales={"half": 1.0}))
+    return ds, model
+
+
+def test_fuse_resamples_half_rate_motors(tmp_path):
+    """motors.csv at half the IMU rate: the model term reads RPM at IMU
+    timestamps instead of indexing past the motor stream."""
+    ds, model = _thinned_dataset(tmp_path, motors_stride=2)
     fcfg = _write(os.path.join(tmp_path, "f.cfg"),
                   "weights=0.3\nrates=10\nseeds=1\nattitude=groundtruth\n")
     out = os.path.join(tmp_path, "fuse")
     assert main(["fuse", "--dataset", ds, "--model", model, "--out", out,
                  "--config", fcfg]) == 0
     assert len(open(os.path.join(out, "sweep.csv")).read().splitlines()) == 2
+
+
+@pytest.mark.parametrize("attitude", ["ekf", "groundtruth"])
+def test_fuse_resamples_half_rate_groundtruth(tmp_path, attitude):
+    """groundtruth.csv at half the IMU rate: attitude is sampled at IMU
+    times and the visual body velocity at frame times, not by IMU index."""
+    ds, model = _thinned_dataset(tmp_path, gt_stride=2)
+    fcfg = _write(os.path.join(tmp_path, "f.cfg"),
+                  f"weights=0.0,0.3\nrates=10\nseeds=1\nattitude={attitude}\n")
+    out = os.path.join(tmp_path, "fuse")
+    assert main(["fuse", "--dataset", ds, "--model", model, "--out", out,
+                 "--config", fcfg]) == 0
+    rmse = np.loadtxt(os.path.join(out, "sweep.csv"), delimiter=",", skiprows=1)[:, 3]
+    assert len(rmse) == 2 and np.all(np.isfinite(rmse))
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +291,10 @@ MALFORMED_BODIES = {
                         + "0.5,1.0,abc,3.0\n",
     "short row": "{h}\n" + "".join(f"{0.1 * i!r},1.0,2.0,3.0\n" for i in range(5))
                  + "0.5,1.0,2.0\n",
+    "nan cell": "{h}\n" + "".join(f"{0.1 * i!r},1.0,2.0,3.0\n" for i in range(5))
+                + "0.5,1.0,nan,3.0\n",
+    "repeated timestamp": "{h}\n" + "".join(f"{0.1 * i!r},1.0,2.0,3.0\n" for i in range(5))
+                          + "0.4,1.0,2.0,3.0\n",
 }
 
 
@@ -290,18 +317,20 @@ def test_malformed_csv_is_data_error(tmp_path, small_dataset, verb, case):
 
 
 def _malform_lines(lines, case):
-    """The four MALFORMED_BODIES cases applied to a real CSV's lines:
-    the non-numeric cell goes in the t column, which every loader parses."""
+    """The MALFORMED_BODIES cases applied to a real CSV's lines: the bad
+    cell goes in the t column, which every loader parses."""
     last = lines[-1].split(",")
     return {
         "empty": [],
         "header only": lines[:1],
         "non-numeric cell": lines[:-1] + [",".join(["abc"] + last[1:])],
         "short row": lines[:-1] + [",".join(last[:-1])],
+        "nan cell": lines[:-1] + [",".join(["nan"] + last[1:])],
+        "repeated timestamp": lines[:-1] + [",".join(lines[-2].split(",")[:1] + last[1:])],
     }[case]
 
 
-@pytest.mark.parametrize("name", ["frames.csv", "imu.csv"])
+@pytest.mark.parametrize("name", ["frames.csv", "imu.csv", "motors.csv", "groundtruth.csv"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_BODIES))
 def test_malformed_dataset_csv_is_data_error(tmp_path, small_dataset, name, case):
     ds = os.path.join(tmp_path, "ds")

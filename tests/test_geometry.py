@@ -1,5 +1,7 @@
 """Camera model, SE(3), and warping contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from conftest import small_intrinsics, smooth_image
 
 from selfvio import autodiff as ad
 from selfvio.geometry import (CameraIntrinsics, ContractViolation, SE3Pose,
-                              inverse_warp, invert_entries, pose_entries,
-                              project, project_grid, rotvec_to_matrix,
-                              se3_exp, se3_exp_entries, se3_log, warp_depth)
+                              _exp_coeffs, inverse_warp, invert_entries,
+                              pose_entries, project, project_grid, quat_conj,
+                              quat_from_axis_angle, quat_mul, quat_to_matrix,
+                              quat_to_rotvec, rotvec_to_matrix, se3_exp,
+                              se3_exp_entries, se3_log, warp_depth)
 
 
 def brute_force_mask(depth_t, K, pose):
@@ -145,6 +149,70 @@ def test_se3_exp_entries_rotation_is_rotvec_to_matrix(rng):
             assert np.array_equal(se3_exp_entries(xi)[0], rotvec_to_matrix(xi[3:]))
             assert np.array_equal(se3_exp_entries(ad.Var(xi))[0].value,
                                   rotvec_to_matrix(xi[3:]))
+
+
+THETAS = [0.0, 1e-9, 1.05e-8, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 3.0]
+
+
+def _coeffs_reference(th):
+    """A, B, C, dA, dB, dC and D = (1 - A/2B)/th^2 at th: summed power
+    series up to th = 0.5, the closed forms above."""
+    t2 = th * th
+    if th <= 0.5:
+        def f(n):       # sum_k (-t2)^k / (2k + n)!
+            return math.fsum((-t2) ** k / math.factorial(2 * k + n) for k in range(30))
+
+        def df(n):
+            return math.fsum(-k * (-t2) ** (k - 1) / math.factorial(2 * k + n)
+                             for k in range(1, 30))
+        A, B = f(1), f(2)
+        # 2B - A = sum_k (-t2)^k (2 - (2k + 2)) / (2k + 2)!, whose k = 0 term is 0
+        D = math.fsum(2 * k * (-t2) ** (k - 1) / math.factorial(2 * k + 2)
+                      for k in range(1, 30)) / (2 * B)
+        return A, B, f(3), df(1), df(2), df(3), D
+    c, A = math.cos(th), math.sin(th) / th
+    B, C = (1 - c) / t2, (1 - A) / t2
+    h = 0.5 / t2
+    return A, B, C, (c - A) * h, (A - 2 * B) * h, (B - 3 * C) * h, (1 - A / (2 * B)) / t2
+
+
+@pytest.mark.parametrize("th", THETAS)
+def test_exp_coeffs_match_reference(th):
+    """No cancellation at any angle; D is the -dB/B that se3_log uses."""
+    A, B, C, dA, dB, dC = _exp_coeffs(th * th)
+    got = np.array([A, B, C, dA, dB, dC, -dB / B])
+    ref = np.array(_coeffs_reference(th))
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (got - ref) / ref
+
+
+@pytest.mark.parametrize("scale", THETAS[1:])
+def test_se3_log_roundtrip_relative_error(rng, scale):
+    for _ in range(100):
+        u = rng.normal(size=6)
+        xi = scale * u / np.linalg.norm(u)
+        err = np.linalg.norm(se3_log(se3_exp(xi)) - xi) / scale
+        assert err <= 1e-12, err
+
+
+def test_quat_kernels_batched_equal_per_row(rng):
+    a = rng.normal(size=(500, 4))
+    b = rng.normal(size=(500, 4))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    assert np.array_equal(quat_mul(a, b), np.stack([quat_mul(x, y) for x, y in zip(a, b)]))
+    assert np.array_equal(quat_conj(a), np.stack([quat_conj(x) for x in a]))
+    assert np.array_equal(quat_to_matrix(a), np.stack([quat_to_matrix(x) for x in a]))
+    assert np.array_equal(quat_to_rotvec(a), np.stack([quat_to_rotvec(x) for x in a]))
+    assert quat_mul(a[0], b).shape == (500, 4)      # one quaternion against a stack
+
+
+def test_quat_to_rotvec_inverts_axis_angle(rng):
+    for th in [0.0, 1e-13, 1e-9, 1e-4, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-9]:
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        q = quat_from_axis_angle(axis, th)
+        for qq in (q, -q):          # w < 0: the same rotation
+            assert np.allclose(quat_to_rotvec(qq), th * axis, rtol=0, atol=1e-15 + 1e-15 * th)
 
 
 def test_compose_inverse_is_identity(rng):
