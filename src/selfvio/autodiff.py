@@ -133,10 +133,6 @@ def value(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def constant(x):
-    return np.asarray(x, dtype=np.float64)
-
-
 # --- primitive ops --------------------------------------------------------
 
 

@@ -62,13 +62,22 @@ def _coerce(defaults, raw):
             if v not in ("true", "false"):
                 raise ConfigError(f"{k} must be true/false")
             cfg[k] = v == "true"
-        elif isinstance(d, int):
-            cfg[k] = int(v)
-        elif isinstance(d, float):
-            cfg[k] = float(v)
+        elif isinstance(d, (int, float)):
+            try:
+                cfg[k] = type(d)(v)
+            except ValueError:
+                raise ConfigError(f"{k} must be {type(d).__name__}, got {v!r}") from None
         else:
             cfg[k] = v
     return cfg
+
+
+def _float_list(cfg, k):
+    """A comma-separated list of floats from the config."""
+    try:
+        return [float(x) for x in cfg[k].split(",")]
+    except ValueError:
+        raise ConfigError(f"{k} must be comma-separated numbers, got {cfg[k]!r}") from None
 
 
 def _echo_config(outdir, name, cfg):
@@ -255,6 +264,19 @@ def _groundtruth_at(ds: dataio.DatasetBundle, t):
     return R_wb, np.einsum("nij,nj->ni", R_wb.transpose(0, 2, 1), gt["vel_w"][k])
 
 
+def _load_model(path):
+    """A missing, unparsable or incomplete model file is a data error; a
+    model of another format or version stays a config error."""
+    try:
+        return dronemodel.load_params(path)
+    except ContractViolation:
+        raise
+    except FileNotFoundError:
+        raise dataio.MissingFileError(f"model file not found: {path}") from None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise dataio.FormatError(f"cannot read model file {path}: {e!r}") from None
+
+
 def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, seq_id=None,
                            attitude="ekf"):
     cam_t, v_cam = _read_velocities(vel_path, "t,vcx,vcy,vcz")
@@ -306,7 +328,7 @@ ROLLOUT_DEFAULTS = {"cutoff_hz": 5.0, "attitude": "ekf"}
 def cmd_rollout(args):
     cfg = _coerce(ROLLOUT_DEFAULTS, _parse_config(args.config, ROLLOUT_DEFAULTS))
     ds = dataio.load_sequence(args.dataset)
-    params = dronemodel.load_params(args.model)
+    params = _load_model(args.model)
     seq = _sequence_from_dataset(ds, args.velocities, attitude=cfg["attitude"])
     if seq.seq_id not in params.scales:
         raise ContractViolation(
@@ -337,7 +359,7 @@ def cmd_fuse(args):
     cfg = _coerce(FUSE_DEFAULTS, _parse_config(args.config, FUSE_DEFAULTS))
     ds = dataio.load_sequence(args.dataset)
     _, vel_b_true = _groundtruth_at(ds, ds.frames.t)
-    model = dronemodel.load_params(args.model) if args.model else None
+    model = _load_model(args.model) if args.model else None
     gt = ds.groundtruth
     if cfg["attitude"] == "groundtruth":
         R_wb, _ = _groundtruth_at(ds, ds.imu.t)
@@ -354,8 +376,8 @@ def cmd_fuse(args):
             drops.append((t0, t0 + cfg["dropout_len"]))
             t0 += cfg["dropout_period"]
 
-    weights = [float(w) for w in cfg["weights"].split(",")]
-    rates = [float(r) for r in cfg["rates"].split(",")]
+    weights = _float_list(cfg, "weights")
+    rates = _float_list(cfg, "rates")
     gt_traj = evalign.TrajectoryEstimate(t=gt["t"][::5], pos=gt["pos"][::5])
     rpm = _rpm_at_imu(ds)
 
@@ -494,7 +516,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except evalign.DegeneratePointSet as e:
+    except (evalign.DegeneratePointSet, dronemodel.ShortSequence) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ContractViolation) as e:

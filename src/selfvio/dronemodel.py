@@ -28,7 +28,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .geometry import ContractViolation, rotvec_to_matrix
 
@@ -44,6 +43,11 @@ _OUT_MID = np.array([1.0, 1.0, 0.0])
 
 class DivergenceError(RuntimeError):
     """Training or rollout produced runaway values."""
+
+
+class ShortSequence(ContractViolation):
+    """A sequence has too few samples or seconds to filter or train on.
+    A property of the data, not of the call."""
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +113,7 @@ def load_params(path) -> DroneModelParams:
             f"model version {doc.get('version')} unsupported (want {MODEL_VERSION})")
     if tuple(doc["layer_sizes"]) != LAYER_SIZES:
         raise ContractViolation("unexpected layer sizes in model file")
-    return DroneModelParams(
+    params = DroneModelParams(
         weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
         biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
         norm_mean=np.asarray(doc["norm_mean"], dtype=np.float64),
@@ -117,6 +121,12 @@ def load_params(path) -> DroneModelParams:
         scales={k: float(v) for k, v in doc["scales"].items()},
         version=doc["version"],
     )
+    sizes = list(zip(LAYER_SIZES[1:], LAYER_SIZES[:-1]))
+    if ([w.shape for w in params.weights] != sizes
+            or [b.shape for b in params.biases] != [(n,) for n, _ in sizes]
+            or {params.norm_mean.shape, params.norm_std.shape} != {(LAYER_SIZES[0],)}):
+        raise ValueError(f"{path}: array shapes do not match the layer sizes")
+    return params
 
 
 # --------------------------------------------------------------------------
@@ -245,12 +255,52 @@ class TrainSequence:
             raise ContractViolation("teacher velocities must be finite")
 
 
+_PADLEN = 12   # filtfilt's odd extension: 3 * (number of coefficients)
+
+
+def _butter3(wn):
+    """Third-order digital Butterworth low-pass (b, a) at normalized cutoff
+    wn in (0, 1), built as scipy's butter(3, wn): analog prototype poles,
+    prewarped cutoff, bilinear transform at fs = 2, three zeros at -1."""
+    warped = 4 * np.tan(np.pi * wn / 2)
+    p = warped * -np.exp(1j * np.pi * np.array([-2.0, 0.0, 2.0]) / 6)
+    k = warped ** 3 * np.real(1.0 / np.prod(4.0 - p))
+    return k * np.poly(-np.ones(3)), np.poly((4.0 + p) / (4.0 - p))
+
+
+def _lfilter(b, a, x, z):
+    """Direct form II transposed over the rows of x (n, d) from the state
+    z (3, d), updated in place, in scipy's lfilter order of operations."""
+    y = np.empty_like(x)
+    for i, xi in enumerate(x):
+        y[i] = yi = z[0] + b[0] * xi
+        z[0] = z[1] + xi * b[1] - yi * a[1]
+        z[1] = z[2] + xi * b[2] - yi * a[2]
+        z[2] = xi * b[3] - yi * a[3]
+    return y
+
+
 def smooth_teacher(cam_t, v_body, cutoff_hz=5.0):
-    """Zero-phase third-order Butterworth low-pass, per axis."""
+    """Zero-phase third-order Butterworth low-pass, per axis: scipy's
+    filtfilt(*butter(3, wn), v_body, axis=0), bit for bit."""
+    x = np.asarray(v_body, dtype=np.float64)
+    if len(x) <= _PADLEN:
+        raise ShortSequence(f"teacher has {len(x)} samples; the filter "
+                            f"needs more than {_PADLEN}")
     rate = 1.0 / float(np.median(np.diff(cam_t)))
     wn = min(cutoff_hz / (0.5 * rate), 0.99)
-    b, a = butter(3, wn)
-    return filtfilt(b, a, v_body, axis=0)
+    if not 0.0 < wn < 1.0:
+        raise ContractViolation(f"cutoff_hz must be positive, got {cutoff_hz}")
+    b, a = _butter3(wn)
+    # steady-state initial state, solved as scipy's lfilter_zi does
+    companion = np.eye(3, k=-1)
+    companion[0] = -a[1:]
+    zi = np.linalg.solve(np.eye(3) - companion.T, b[1:] - a[1:] * b[0])[:, None]
+    ext = np.concatenate((2 * x[:1] - x[_PADLEN:0:-1], x,
+                          2 * x[-1:] - x[-2:-_PADLEN - 2:-1]))
+    y = _lfilter(b, a, ext, zi * ext[0])
+    y = _lfilter(b, a, y[::-1], zi * y[-1])
+    return y[::-1][_PADLEN:-_PADLEN]
 
 
 def teacher_velocity(seq: TrainSequence, s: float, cutoff_hz=5.0):
@@ -546,7 +596,7 @@ def train(sequences, cfg: TrainConfig, params=None):
     prepared = [prepare_sequence(s, cfg.cutoff_hz) for s in sequences]
     for p in prepared:
         if p.t[-1] - p.t[0] < 5.0:
-            raise ContractViolation(f"sequence {p.seq_id} shorter than 5 s")
+            raise ShortSequence(f"sequence {p.seq_id} shorter than 5 s")
 
     rng = np.random.default_rng(cfg.seed)
     if params is None:

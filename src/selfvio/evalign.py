@@ -25,8 +25,6 @@ class DegeneratePointSet(ContractViolation):
 class TrajectoryEstimate:
     t: np.ndarray
     pos: np.ndarray            # (N,3)
-    vel: np.ndarray | None = None
-    frame: str = "odom"
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.float64)
@@ -35,8 +33,6 @@ class TrajectoryEstimate:
             raise ContractViolation("timestamps must be strictly increasing")
         if not np.all(np.isfinite(self.pos)):
             raise ContractViolation("positions must be finite")
-        if self.vel is not None:
-            self.vel = np.asarray(self.vel, dtype=np.float64)
 
 
 @dataclass

@@ -48,11 +48,6 @@ class CameraIntrinsics:
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ContractViolation("principal point must lie inside the image")
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
     def normalized_grid(self):
         """Per-pixel normalized ray coordinates ((u-cx)/fx, (v-cy)/fy)."""
         u = np.arange(self.width, dtype=np.float64)
@@ -240,12 +235,6 @@ class SE3Pose:
         pts = np.asarray(pts, dtype=np.float64)
         return pts @ self.rotation_matrix().T + self.t
 
-    def matrix(self) -> np.ndarray:
-        M = np.eye(4)
-        M[:3, :3] = self.rotation_matrix()
-        M[:3, 3] = self.t
-        return M
-
 
 def se3_exp(xi) -> SE3Pose:
     """Exponential map of a twist (rho[3], phi[3]) to an SE3Pose."""
@@ -291,8 +280,9 @@ def se3_exp_entries(xi):
     t2 = float(phi @ phi)
     A, B, C, dA, dB, dC = _exp_coeffs(t2)
     K = skew(phi)
-    V = np.eye(3) + B * K + C * (K @ K)
-    R, t = rotvec_to_matrix(phi), V @ rho
+    KK = K @ K
+    V = np.eye(3) + B * K + C * KK
+    R, t = np.eye(3) + A * K + B * KK, V @ rho
     if not ad.is_var(xi):
         return R, t
 
@@ -319,28 +309,6 @@ def invert_entries(R, t):
     R, t = (x if ad.is_var(x) else ad.Var(x) for x in (R, t))
     return (ad.Var(Ri, (R,), lambda G: (G.T,)),
             ad.Var(ti, (R, t), lambda g: (-np.outer(tv, g), -(Rv @ g))))
-
-
-# --------------------------------------------------------------------------
-# validation helpers for per-pixel fields
-
-
-def validate_image(img):
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ContractViolation("image must be 2-D")
-    if not np.all(np.isfinite(img)) or img.min() < 0.0 or img.max() > 1.0:
-        raise ContractViolation("image values must be finite and in [0,1]")
-    return img
-
-
-def validate_depth(depth):
-    depth = np.asarray(depth, dtype=np.float64)
-    if depth.ndim != 2:
-        raise ContractViolation("depth must be 2-D")
-    if not np.all(np.isfinite(depth)) or depth.min() <= 0.0:
-        raise ContractViolation("depth values must be finite and > 0")
-    return depth
 
 
 # --------------------------------------------------------------------------

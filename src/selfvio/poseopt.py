@@ -257,7 +257,7 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
         cam_vel.append(P.t / dt)
 
     traj = TrajectoryEstimate(t=np.asarray(times[:last], dtype=np.float64),
-                              pos=np.stack(positions), frame="camera0")
+                              pos=np.stack(positions))
     return estimates, traj, np.stack(cam_vel) if cam_vel else np.zeros((0, 3))
 
 

@@ -4,12 +4,16 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import selfvio
 from selfvio.cli import main
 from selfvio.dataio import FormatError, load_sequence
+from selfvio.dronemodel import MODEL_FORMAT, init_params, save_params
 
 
 def _hash_dir(root):
@@ -357,3 +361,102 @@ def test_eval_collinear_groundtruth_is_data_error(tmp_path, small_dataset, mode)
     ds, good = small_dataset
     assert main(["eval", "--est", good, "--gt", ds, "--mode", mode,
                  "--out", os.path.join(tmp_path, "ev")]) == 3
+
+
+def _teacher_csv(tmp_path, rows):
+    """A valid velocities.csv of `rows` samples at the GEN_SMALL frame rate."""
+    return _write(os.path.join(tmp_path, f"v{rows}.csv"), "t,vcx,vcy,vcz\n" + "".join(
+        f"{0.05 * (i + 1)!r},{0.1 * i!r},0.0,0.0\n" for i in range(rows)))
+
+
+def _short_data_argv(tmp_path, ds, verb, vel, config=None):
+    out = os.path.join(tmp_path, "out")
+    if verb == "train-model":
+        argv = ["train-model", "--sequence", f"{ds}:{vel}", "--out", out]
+    else:
+        model = os.path.join(tmp_path, "m.json")
+        save_params(model, init_params(np.random.default_rng(0), scales={"t0": 1.0}))
+        argv = ["rollout", "--dataset", ds, "--model", model, "--velocities", vel,
+                "--out", out]
+    return argv + (["--config", config] if config else [])
+
+
+@pytest.mark.parametrize("verb", ["train-model", "rollout"])
+def test_teacher_too_short_to_filter_is_data_error(tmp_path, small_dataset, verb):
+    """10 teacher rows: fewer than the zero-phase filter's 12-row padding."""
+    vel = _teacher_csv(tmp_path, 10)
+    assert main(_short_data_argv(tmp_path, small_dataset[0], verb, vel)) == 3
+
+
+@pytest.mark.parametrize("verb", ["train-model", "rollout"])
+@pytest.mark.parametrize("cutoff", ["0", "-2.5"])
+def test_nonpositive_cutoff_is_config_error(tmp_path, small_dataset, verb, cutoff):
+    vel = _teacher_csv(tmp_path, 30)
+    cfg = _write(os.path.join(tmp_path, "c.cfg"), f"cutoff_hz={cutoff}\n")
+    assert main(_short_data_argv(tmp_path, small_dataset[0], verb, vel, cfg)) == 2
+
+
+def test_train_on_sequence_shorter_than_5s_is_data_error(tmp_path, small_dataset):
+    """GEN_SMALL lasts 2 s: too few seconds to train on is the data's fault."""
+    vel = _teacher_csv(tmp_path, 30)
+    assert main(_short_data_argv(tmp_path, small_dataset[0], "train-model", vel)) == 3
+
+
+MALFORMED_MODELS = {   # case: the bad file's text from a good model's document
+    "missing": None,
+    "not json": lambda doc: "{\"format\": ",
+    "not an object": lambda doc: "[1, 2]",
+    "no layer sizes": lambda doc: json.dumps({"format": MODEL_FORMAT, "version": 1}),
+    "short weight row": lambda doc: json.dumps(
+        dict(doc, weights=[[row[:3] for row in doc["weights"][0]]] + doc["weights"][1:])),
+}
+
+
+@pytest.mark.parametrize("verb", ["rollout", "fuse"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_file_is_data_error(tmp_path, small_dataset, verb, case):
+    ds, _ = small_dataset
+    model = os.path.join(tmp_path, "m.json")
+    if MALFORMED_MODELS[case] is not None:
+        save_params(model, init_params(np.random.default_rng(0), scales={"t0": 1.0}))
+        _write(model, MALFORMED_MODELS[case](json.load(open(model))))
+    out = os.path.join(tmp_path, "out")
+    argv = {
+        "rollout": ["rollout", "--dataset", ds, "--model", model,
+                    "--velocities", _teacher_csv(tmp_path, 30), "--out", out],
+        "fuse": ["fuse", "--dataset", ds, "--model", model, "--out", out, "--config",
+                 _write(os.path.join(tmp_path, "f.cfg"),
+                        "weights=0.3\nrates=10\nseeds=1\nalign=none\n")],
+    }[verb]
+    assert main(argv) == 3
+
+
+MALFORMED_CONFIGS = {
+    "train-model steps=abc": ("train-model", "steps=abc\n"),
+    "train-model lr=fast": ("train-model", "lr=fast\n"),
+    "fuse weights=0.0,x": ("fuse", "weights=0.0,x\n"),
+    "fuse rates=30,,20": ("fuse", "rates=30,,20\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
+    ds, _ = small_dataset
+    verb, body = MALFORMED_CONFIGS[case]
+    cfg = _write(os.path.join(tmp_path, "c.cfg"), body)
+    out = os.path.join(tmp_path, "out")
+    argv = {
+        "train-model": ["train-model", "--sequence", f"{ds}:{_teacher_csv(tmp_path, 30)}"],
+        "fuse": ["fuse", "--dataset", ds],
+    }[verb]
+    assert main(argv + ["--out", out, "--config", cfg]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy alone; scipy is only the tests' oracle."""
+    code = ("import sys, selfvio.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selfvio.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -8,11 +8,12 @@ import pytest
 
 from conftest import constant_output_model, recovery_sequence
 
-from selfvio.dronemodel import (DroneModelParams, TrainConfig, TrainSequence,
-                                _batched_windows_loss_and_grads, _flatten,
-                                _unflatten_into, _zero_grads, init_params,
-                                load_params, model_forward, prepare_sequence,
-                                rollout, save_params, teacher_velocity, train,
+from selfvio.dronemodel import (DroneModelParams, ShortSequence, TrainConfig,
+                                TrainSequence, _batched_windows_loss_and_grads,
+                                _flatten, _unflatten_into, _zero_grads,
+                                init_params, load_params, model_forward,
+                                prepare_sequence, rollout, save_params,
+                                smooth_teacher, teacher_velocity, train,
                                 window_loss_and_grads)
 from selfvio.geometry import ContractViolation
 from selfvio.synth import R_CB
@@ -190,6 +191,26 @@ def test_teacher_rejects_nonpositive_scale():
     seq, _, _ = _prep()
     with pytest.raises(ContractViolation):
         teacher_velocity(seq, 0.0)
+
+
+@pytest.mark.parametrize("n", [13, 40, 241, 1200, 4000])
+def test_smooth_teacher_matches_scipy(n):
+    """Bitwise scipy's butter(3, wn) + filtfilt, the 0.99 clamp included."""
+    signal = pytest.importorskip("scipy.signal")
+    x = np.random.default_rng(n).standard_normal((n, 3)).cumsum(axis=0)
+    cam_t = 0.5 * np.arange(n)     # 2 Hz: the cutoff in Hz is wn itself
+    for wn in (0.02, 0.083, 0.167, 0.25, 0.533, 0.8, 0.99, 1.5):
+        want = signal.filtfilt(*signal.butter(3, min(wn, 0.99)), x, axis=0)
+        assert np.array_equal(smooth_teacher(cam_t, x, cutoff_hz=wn), want), wn
+
+
+def test_smooth_teacher_rejects_short_stream_and_nonpositive_cutoff():
+    x = np.ones((12, 3))
+    with pytest.raises(ShortSequence):
+        smooth_teacher(np.arange(12.0), x)
+    for cutoff in (0.0, -1.0, float("nan")):
+        with pytest.raises(ContractViolation):
+            smooth_teacher(np.arange(13.0), np.ones((13, 3)), cutoff)
 
 
 # --- BPTT gradients -------------------------------------------------------------

@@ -71,8 +71,8 @@ def test_umeyama_optimality_against_perturbations(rng):
             assert resid >= best - 1e-9
 
 
-def _traj(t, pos, vel=None):
-    return TrajectoryEstimate(t=np.asarray(t, dtype=float), pos=np.asarray(pos, dtype=float), vel=vel)
+def _traj(t, pos):
+    return TrajectoryEstimate(t=np.asarray(t, dtype=float), pos=np.asarray(pos, dtype=float))
 
 
 def test_rmse_identity_zero(rng):
