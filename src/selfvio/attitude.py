@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ContractViolation, quat_from_axis_angle, quat_mul,
-                       quat_normalize, quat_to_matrix)
+from .geometry import (ContractViolation, _cross, _norm, quat_from_axis_angle,
+                       quat_mul, quat_normalize, quat_to_matrix)
 from .synth import G_WORLD, GRAVITY
 
 GAIN = 0.02                 # accepted correction per sample (rad per unit tilt)
@@ -44,7 +44,7 @@ class AttitudeFilter:
             raise ContractViolation("dt must be positive")
         gyro = np.asarray(gyro, dtype=np.float64)
         # body rotates by exp(w dt): q_bw' = exp(-w dt / 2) * q_bw
-        dq = quat_from_axis_angle(gyro, -np.linalg.norm(gyro) * dt)
+        dq = quat_from_axis_angle(gyro, -_norm(gyro) * dt)
         return AttitudeState(quat_mul(dq, state.q_bw), state.t + dt)
 
     def correction_vector(self, state: AttitudeState, accel) -> np.ndarray:
@@ -55,16 +55,16 @@ class AttitudeFilter:
         estimated up direction, which is what keeps yaw untouched.
         """
         accel = np.asarray(accel, dtype=np.float64)
-        norm = np.linalg.norm(accel)
+        norm = _norm(accel)
         if not (GATE[0] <= norm / GRAVITY <= GATE[1]):
             return np.zeros(3)
         up_est = state.rotation_bw() @ np.array([0.0, 0.0, 1.0])
-        return GAIN * np.cross(up_est, accel / norm)
+        return GAIN * _cross(up_est, accel / norm)
 
     def accel_update(self, state: AttitudeState, accel) -> AttitudeState:
         """Gated complementary correction toward the measured gravity."""
         corr = self.correction_vector(state, accel)
-        ang = np.linalg.norm(corr)
+        ang = _norm(corr)
         if ang == 0.0:
             return state
         return AttitudeState(quat_mul(quat_from_axis_angle(corr, ang), state.q_bw), state.t)
@@ -76,12 +76,12 @@ class AttitudeFilter:
     def init_from_accel(self, accel_mean, t=0.0) -> AttitudeState:
         """Roll/pitch from a (near-)static accel average; yaw set to zero."""
         a = np.asarray(accel_mean, dtype=np.float64)
-        n = np.linalg.norm(a)
+        n = _norm(a)
         if n == 0:
             raise ContractViolation("zero accelerometer average")
         up_meas = a / n
-        axis = np.cross([0.0, 0.0, 1.0], up_meas)
-        s = np.linalg.norm(axis)
+        axis = _cross(np.array([0.0, 0.0, 1.0]), up_meas)
+        s = _norm(axis)
         ang = np.arctan2(s, up_meas[2])
         if s < 1e-12:               # measured up is +-z: any horizontal axis
             axis = np.array([1.0, 0.0, 0.0])

@@ -381,27 +381,32 @@ def cmd_fuse(args):
     gt_traj = evalign.TrajectoryEstimate(t=gt["t"][::5], pos=gt["pos"][::5])
     rpm = _rpm_at_imu(ds)
 
+    # one filter pass per rate, its rows every (weight, seed) pair
+    pairs = list(itertools.product(weights, range(cfg["seeds"])))
     entries, last = [], None
-    for rate, w, seed in itertools.product(rates, weights, range(cfg["seeds"])):
-        fc = fusion.FusionConfig(model_weight=w, update_rate=rate,
+    for rate in (rates if pairs else []):       # seeds=0: nothing to run
+        fc = fusion.FusionConfig(model_weight=np.array([w for w, _ in pairs]),
+                                 update_rate=rate,
                                  vis_noise_std=cfg["vis_noise_std"],
                                  accel_noise_std=cfg["accel_noise_std"])
         vis_t, vis_v = fusion.make_visual_measurements(
-            ds.frames.t, vel_b_true, fc, seed=seed,
+            ds.frames.t, vel_b_true, fc, seed=[s for _, s in pairs],
             dropout_windows=drops)
-        last = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro, rpm,
-                                 R_wb, vis_t, vis_v, model, fc,
-                                 p0=gt["pos"][0], v0=gt["vel_w"][0])
-        est = evalign.TrajectoryEstimate(t=last.t[::5], pos=last.pos[::5])
-        entries.append((rate, w, seed,
-                        evalign.position_rmse(est, gt_traj, mode=cfg["align"])))
+        res = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro, rpm,
+                                R_wb, vis_t, vis_v, model, fc,
+                                p0=gt["pos"][0], v0=gt["vel_w"][0])
+        for (w, seed), pos in zip(pairs, res.pos):
+            est = evalign.TrajectoryEstimate(t=res.t[::5], pos=pos[::5])
+            entries.append((rate, w, seed,
+                            evalign.position_rmse(est, gt_traj, mode=cfg["align"])))
+        last = res
 
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "sweep.csv"), fusion.sweep_csv_rows(entries))
-    if last is not None:
+    if last is not None:            # the last rate x weight x seed run
         rows = ["t,px,py,pz,vbx,vby,vbz"]
         for i in range(0, len(last.t), 5):
-            p, v = last.pos[i], last.vel_body[i]
+            p, v = last.pos[-1, i], last.vel_body[-1, i]
             rows.append(f"{_f(last.t[i])},{_f(p[0])},{_f(p[1])},{_f(p[2])},"
                         f"{_f(v[0])},{_f(v[1])},{_f(v[2])}")
         _write_text(os.path.join(args.out, "trajectory.csv"), "\n".join(rows) + "\n")
@@ -491,7 +496,13 @@ def build_parser():
     r.add_argument("--config")
     r.set_defaults(fn=cmd_rollout)
 
-    f = sub.add_parser("fuse", help="fusion filter sweep")
+    f = sub.add_parser(
+        "fuse", help="fusion filter sweep",
+        description="Run the fusion filter for every update rate x model weight "
+                    "x seed combination, one filter pass per rate. sweep.csv "
+                    "holds one RMSE row per combination; trajectory.csv holds "
+                    "the trajectory of the last combination: the last rate, "
+                    "the last weight and the last seed.")
     f.add_argument("--dataset", required=True)
     f.add_argument("--model")
     f.add_argument("--out", required=True)

@@ -133,15 +133,25 @@ def load_params(path) -> DroneModelParams:
 # MLP forward/backward
 
 
-def _mlp_forward(params: DroneModelParams, x_raw):
-    """x_raw: (B, 11) -> outputs (B, 3) = (d_x, d_y, eps) plus cache."""
+def _rowwise_dot(h, Wt):
+    """np.dot(h, Wt) as one matrix-vector product per row of h (B, k), so
+    that each row is bitwise what np.dot gives it alone; a (B, k) matrix
+    product sums in an order that depends on B."""
+    return np.matmul(h[:, None, :], Wt)[:, 0]
+
+
+def _mlp_forward(params: DroneModelParams, x_raw, rowwise=False):
+    """x_raw: (B, 11) -> outputs (B, 3) = (d_x, d_y, eps) plus cache.
+    rowwise: each row's output does not depend on the batch (`_rowwise_dot`)."""
+    # np.dot: less per-call cost than @
+    dot = _rowwise_dot if rowwise and len(x_raw) > 1 else np.dot
     xn = (x_raw - params.norm_mean) / np.maximum(params.norm_std, _STD_FLOOR)
     h = xn
     acts = [xn]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.tanh(np.dot(h, W.T) + b)   # np.dot: less per-call cost than @
+        h = np.tanh(dot(h, W.T) + b)
         acts.append(h)
-    th = np.tanh(0.5 * (np.dot(h, params.weights[-1].T) + params.biases[-1]))
+    th = np.tanh(0.5 * (dot(h, params.weights[-1].T) + params.biases[-1]))
     return th * _OUT_GAIN + _OUT_MID, (acts, th)
 
 
@@ -171,17 +181,22 @@ def _add_mlp_grads(grads, calls):
 
 def _features(vb, az, gyro, rpm):
     """The MLP input rows (B, 11) from vb (B,3), az (B,), gyro (B,3) and
-    rpm (B,4): the one place that knows the feature order."""
-    return np.concatenate([vb, az[:, None], gyro, rpm], axis=1)
+    rpm (B,4): the one place that knows the feature order. az, gyro and
+    rpm may also be one sample, shared by every row."""
+    x = np.empty((len(vb), 11))
+    x[:, :3] = vb
+    x[:, 3] = az
+    x[:, 4:7] = gyro
+    x[:, 7:] = rpm
+    return x
 
 
 def model_forward(params: DroneModelParams, vb, accel_z, gyro, rpm):
     """Single-sample drag/residual prediction: (d_x, d_y, eps_az)."""
-    x = _features(np.asarray(vb, dtype=np.float64).reshape(1, -1),
-                  np.array([float(accel_z)]),
-                  np.asarray(gyro, dtype=np.float64).reshape(1, -1),
-                  np.asarray(rpm, dtype=np.float64).reshape(1, -1))
-    if x.shape != (1, 11) or not np.all(np.isfinite(x)):
+    vb, gyro, rpm = (np.asarray(a, dtype=np.float64).ravel() for a in (vb, gyro, rpm))
+    x = (_features(vb[None], float(accel_z), gyro, rpm)
+         if (vb.size, gyro.size, rpm.size) == (3, 3, 4) else None)
+    if x is None or not np.all(np.isfinite(x)):
         raise ContractViolation("model_forward expects 11 finite inputs")
     out, _ = _mlp_forward(params, x)
     return float(out[0, 0]), float(out[0, 1]), float(out[0, 2])
@@ -191,11 +206,11 @@ def model_forward(params: DroneModelParams, vb, accel_z, gyro, rpm):
 # velocity recurrence
 
 
-def _specific_force(params: DroneModelParams, vb, az, gyro, rpm):
+def _specific_force(params: DroneModelParams, vb, az, gyro, rpm, rowwise=False):
     """The model's specific force for a batch: the bracket
     (-d_x vb_x, -d_y vb_y, a_z - eps) of the recurrence, shape (B, 3),
     plus the cache its reverse needs."""
-    out, mlp_cache = _mlp_forward(params, _features(vb, az, gyro, rpm))
+    out, mlp_cache = _mlp_forward(params, _features(vb, az, gyro, rpm), rowwise)
     f = -out * vb
     f[:, 2] = az - out[:, 2]
     return f, (vb, out, mlp_cache)

@@ -8,6 +8,14 @@ velocity recurrence (`dronemodel._specific_force`), evaluated at the
 filter's current velocity estimate, so the drag terms act as velocity
 feedback. Visual body-velocity updates arrive at a configurable
 processing rate; dropout windows emulate challenging visual conditions.
+
+One filter pass runs a batch of B runs that share the IMU stream, the
+attitude and the update times and differ in model weight and measurement
+draw, as `fuse` sweeps them at one update rate. The covariance P and the
+gain K depend on neither the state, the weight nor the draw, so the batch
+shares one P and one K per update; a single run is the B = 1 case. Every
+per-row product is its own matrix-vector product, so each row is bitwise
+the run it would be alone.
 """
 
 from __future__ import annotations
@@ -33,21 +41,24 @@ class FilterDivergence(RuntimeError):
 
 @dataclass
 class FusionConfig:
-    model_weight: float = 0.3          # w: 0 = IMU only, 1 = model only
+    model_weight: float = 0.3          # w: 0 = IMU only, 1 = model only; (B,) for a batch
     update_rate: float = 120.0         # visual update rate (Hz)
     vis_noise_std: float = 0.1         # m/s
     accel_noise_std: float = 0.05      # m/s^2
 
     def __post_init__(self):
-        if not (0.0 <= self.model_weight <= 1.0):
+        w = np.asarray(self.model_weight)
+        if not np.all((w >= 0.0) & (w <= 1.0)):
             raise ContractViolation("model weight must be in [0,1]")
         if self.update_rate <= 0:
             raise ContractViolation("update rate must be positive")
 
 
 def fused_accel(imu_accel, model_sf, w):
-    """Affine blend of measured and model-predicted specific force."""
-    if not (0.0 <= w <= 1.0):
+    """Affine blend of measured and model-predicted specific force; w is a
+    float, or a (B, 1) array of weights for a (B, 3) stack."""
+    lo, hi = (w.min(), w.max()) if isinstance(w, np.ndarray) else (w, w)
+    if not (0.0 <= lo and hi <= 1.0):
         raise ContractViolation("w must be in [0,1]")
     imu_accel = np.asarray(imu_accel, dtype=np.float64)
     model_sf = np.asarray(model_sf, dtype=np.float64)
@@ -55,18 +66,28 @@ def fused_accel(imu_accel, model_sf, w):
 
 
 def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm):
-    """Specific force predicted by the drone model (the rollout bracket)."""
-    f, _ = _specific_force(params, np.asarray(vb)[None], np.asarray(accel)[2:3],
-                           np.asarray(gyro)[None], np.asarray(rpm)[None])
-    return f[0]
+    """Specific force predicted by the drone model (the rollout bracket) at
+    one body velocity (3,), or at each row of a (B, 3) stack under the same
+    IMU and motor sample; each row is bitwise its single call."""
+    vb = np.asarray(vb, dtype=np.float64)
+    f, _ = _specific_force(params, vb.reshape(-1, 3), accel[2], gyro, rpm, rowwise=True)
+    return f.reshape(vb.shape)
+
+
+def _matvec(M, X):
+    """M @ x for each row x of X (B, k), one matrix-vector product per row,
+    so that each row is bitwise M @ x of that row alone."""
+    if len(X) == 1:
+        return (M @ X[0])[None]
+    return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
 @dataclass
 class FilterResult:
     t: np.ndarray
-    pos: np.ndarray        # (N,3) odometry frame
-    vel_body: np.ndarray   # (N,3)
-    vel_world: np.ndarray  # (N,3)
+    pos: np.ndarray        # (N,3) odometry frame; (B,N,3) for a batch
+    vel_body: np.ndarray   # (N,3); (B,N,3) for a batch
+    vel_world: np.ndarray  # (N,3); (B,N,3) for a batch
     n_updates: int = 0
 
 
@@ -80,15 +101,21 @@ def select_update_times(cam_t, update_rate):
 
 def make_visual_measurements(cam_t, vel_body_gt, cfg: FusionConfig, seed=0,
                              dropout_windows=()):
-    """Noisy body-velocity measurements with dropout windows removed."""
-    rng = np.random.default_rng(seed)
+    """Noisy body-velocity measurements with dropout windows removed.
+
+    seed: one seed, giving vis_v (M, 3), or a sequence of B seeds, giving a
+    (B, M, 3) stack of draws that share the times and the dropout mask.
+    """
     t = select_update_times(cam_t, cfg.update_rate)
     idx = np.searchsorted(cam_t, t)
-    v = np.asarray(vel_body_gt)[idx] + cfg.vis_noise_std * rng.standard_normal((len(t), 3))
     keep = np.ones(len(t), dtype=bool)
     for (t0, t1) in dropout_windows:
         keep &= ~((t >= t0) & (t <= t1))
-    return t[keep], v[keep]
+    v_true = np.asarray(vel_body_gt)[idx]
+    draws = [(v_true + cfg.vis_noise_std *
+              np.random.default_rng(s).standard_normal((len(t), 3)))[keep]
+             for s in np.atleast_1d(seed).tolist()]
+    return t[keep], (draws[0] if np.ndim(seed) == 0 else np.stack(draws))
 
 
 def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
@@ -96,22 +123,32 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
                p0=None, v0=None) -> FilterResult:
     """Propagate at IMU rate, update with body-velocity measurements.
 
-    R_wb: (N,3,3) attitude stream (body->world). model may be None when
-    cfg.model_weight == 0.
+    R_wb: (N,3,3) attitude stream (body->world). vis_v: (M,3) for one run,
+    or a (B,M,3) stack for a batch, with cfg.model_weight a float or one
+    weight per row. model may be None when every weight is 0.
     """
     n = len(imu_t)
-    if cfg.model_weight > 0 and model is None:
+    vis_v = np.asarray(vis_v, dtype=np.float64)
+    single = vis_v.ndim == 2
+    z = np.ascontiguousarray((vis_v[None] if single else vis_v).swapaxes(0, 1))
+    B = z.shape[1]                      # z: (M, B, 3), an update's B draws together
+    # one run blends with a float: per step, cheaper than a (1, 1) column
+    w = (float(cfg.model_weight) if single else
+         np.broadcast_to(np.asarray(cfg.model_weight, dtype=np.float64), (B,))[:, None])
+    blend = bool(np.any(w))
+    if blend and model is None:
         raise ContractViolation("model required when model_weight > 0")
-    p = np.zeros(3) if p0 is None else np.asarray(p0, dtype=np.float64).copy()
-    v = np.zeros(3) if v0 is None else np.asarray(v0, dtype=np.float64).copy()
+    x = np.empty((B, 6))                # rows [p, v]; p and v are views
+    x[:, :3] = 0.0 if p0 is None else p0
+    x[:, 3:] = 0.0 if v0 is None else v0
+    p, v = x[:, :3], x[:, 3:]
     P = np.diag([INIT_POS_STD ** 2] * 3 + [INIT_VEL_STD ** 2] * 3)
     R_meas = (cfg.vis_noise_std ** 2) * np.eye(3)
 
-    pos = np.empty((n, 3))
-    vel_w = np.empty((n, 3))
-    vel_b = np.empty((n, 3))
-    pos[0], vel_w[0] = p, v
-    vel_b[0] = R_wb[0].T @ v
+    states = np.empty((n, B, 6))
+    states[0] = x
+    t = np.asarray(imu_t, dtype=np.float64)
+    t_list, vis_list = t.tolist(), np.asarray(vis_t, dtype=np.float64).tolist()
 
     vis_i = int(np.searchsorted(vis_t, imu_t[0], side="left"))
     n_updates = 0
@@ -121,50 +158,56 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
     F_dt = F.reshape(-1)[3:18:7]
     Q = np.zeros((6, 6))
     Q_diag = Q.reshape(-1)[::7]
+    dt_set = None
 
     for i in range(n - 1):
-        dt = imu_t[i + 1] - imu_t[i]
+        t_next = t_list[i + 1]
+        dt = t_next - t_list[i]
         Rb = R_wb[i]
-        vb = Rb.T @ v
-        if cfg.model_weight > 0:
-            sf_model = model_specific_force(model, vb, accel[i], gyro[i], rpm[i])
-            f = fused_accel(accel[i], sf_model, cfg.model_weight)
-        else:
-            f = accel[i]
-        a_w = Rb @ f + G_WORLD
-        p = p + v * dt + 0.5 * a_w * dt * dt
-        v = v + a_w * dt
+        if blend:
+            sf_model = model_specific_force(model, _matvec(Rb.T, v), accel[i],
+                                            gyro[i], rpm[i])
+            a_w = _matvec(Rb, fused_accel(accel[i], sf_model, w)) + G_WORLD
+        else:                           # IMU only: one a_w for every row
+            a_w = Rb @ accel[i] + G_WORLD
+        p += v * dt                     # p + v dt + a dt^2 / 2, in that order
+        p += 0.5 * a_w * dt * dt
+        v += a_w * dt
 
-        F_dt[:] = dt
-        Q_diag[:3] = (0.5 * cfg.accel_noise_std * dt * dt) ** 2
-        Q_diag[3:] = (cfg.accel_noise_std * dt) ** 2
+        if dt != dt_set:
+            F_dt[:] = dt
+            Q_diag[:3] = (0.5 * cfg.accel_noise_std * dt * dt) ** 2
+            Q_diag[3:] = (cfg.accel_noise_std * dt) ** 2
+            dt_set = dt
         P = F @ P @ F.T + Q
 
-        t_next = imu_t[i + 1]
-        while vis_i < len(vis_t) and vis_t[vis_i] <= t_next:
+        while vis_i < len(vis_list) and vis_list[vis_i] <= t_next:
             Rn = R_wb[i + 1]
             H = np.zeros((3, 6))
             H[:, 3:] = Rn.T
             S = H @ P @ H.T + R_meas
             K = P @ H.T @ np.linalg.inv(S)
-            innov = vis_v[vis_i] - Rn.T @ v
-            delta = K @ innov
-            p = p + delta[:3]
-            v = v + delta[3:]
+            x += _matvec(K, z[vis_i] - _matvec(Rn.T, v))
             P = (I6 - K @ H) @ P
             P = 0.5 * (P + P.T)
             vis_i += 1
             n_updates += 1
 
-        if not (np.isfinite(p).all() and np.isfinite(v).all()):
-            raise FilterDivergence(imu_t[i + 1], "non-finite state")
+        if not np.isfinite(x).all():
+            raise FilterDivergence(t_next, "non-finite state")
         if P.trace() > 1e6:
-            raise FilterDivergence(imu_t[i + 1], "covariance blow-up")
-        pos[i + 1], vel_w[i + 1] = p, v
-        vel_b[i + 1] = R_wb[i + 1].T @ v
+            raise FilterDivergence(t_next, "covariance blow-up")
+        states[i + 1] = x
 
-    return FilterResult(t=np.asarray(imu_t, dtype=np.float64).copy(), pos=pos,
-                        vel_body=vel_b, vel_world=vel_w, n_updates=n_updates)
+    vel_w = states[..., 3:]
+    vel_b = np.matmul(np.swapaxes(R_wb, 1, 2)[:, None], vel_w[..., None])[..., 0]
+
+    def rows_first(a):                  # (N, B, 3) -> (B, N, 3), or (N, 3) alone
+        return np.ascontiguousarray(a[:, 0] if single else np.swapaxes(a, 0, 1))
+
+    return FilterResult(t=t.copy(), pos=rows_first(states[..., :3]),
+                        vel_body=rows_first(vel_b), vel_world=rows_first(vel_w),
+                        n_updates=n_updates)
 
 
 def sweep_csv_rows(entries):

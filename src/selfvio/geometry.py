@@ -60,9 +60,23 @@ class CameraIntrinsics:
 # quaternions (w, x, y, z)
 
 
+def _norm(v):
+    """Euclidean norm of one vector: np.linalg.norm's sqrt(v . v), bitwise,
+    without its per-call cost."""
+    return math.sqrt(v.dot(v))
+
+
+def _cross(a, b):
+    """np.cross of two 3-vectors, written out with its products and
+    differences in its order (so bitwise equal), without its per-call cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def quat_normalize(q):
     q = np.asarray(q, dtype=np.float64)
-    return q / np.linalg.norm(q)
+    return q / _norm(q)
 
 
 def _wxyz(q):
@@ -138,7 +152,7 @@ def matrix_to_quat(R):
 
 def quat_from_axis_angle(axis, angle):
     axis = np.asarray(axis, dtype=np.float64)
-    n = np.linalg.norm(axis)
+    n = _norm(axis)
     if n == 0.0:
         return np.array([1.0, 0.0, 0.0, 0.0])
     half = 0.5 * angle

@@ -136,3 +136,50 @@ def test_quaternion_norm_stable_over_1e6_updates(rng):
         if i % 10 == 0:
             s = f.accel_update(s, accel)
     assert abs(np.linalg.norm(s.q_bw) - 1.0) < 1e-9
+
+
+def test_run_is_bitwise_the_numpy_reference():
+    """`run` over a flown stream equals, bit for bit, the same filter
+    written with np.cross and np.linalg.norm."""
+    from selfvio.attitude import GAIN, GATE, INIT_WINDOW
+    from selfvio.geometry import quat_mul, quat_to_matrix
+    from selfvio.synth import (G_WORLD, GRAVITY, NoiseSpec, RefDynamicsParams,
+                               TrajectorySpec, simulate_imu_motors)
+
+    def axis_angle(axis, angle):
+        n = np.linalg.norm(axis)
+        if n == 0.0:
+            return np.array([1.0, 0.0, 0.0, 0.0])
+        return np.concatenate(([np.cos(0.5 * angle)], np.sin(0.5 * angle) * axis / n))
+
+    def normalized(q):
+        return q / np.linalg.norm(q)
+
+    traj = TrajectorySpec(kind="ellipse", peak_speed=5.0, duration=6.0, period=7.0,
+                          ramp=0.3, start_hover=0.5)
+    sim = simulate_imu_motors(traj, RefDynamicsParams(),
+                              NoiseSpec(seed=2, gyro_std=0.001, accel_std=0.01))
+    t, gyro, accel = sim.imu.t, sim.imu.gyro, sim.imu.accel
+    k = max(1, int(np.searchsorted(t, t[0] + INIT_WINDOW)))
+    up = accel[:k].mean(axis=0) / np.linalg.norm(accel[:k].mean(axis=0))
+    axis = np.cross([0.0, 0.0, 1.0], up)
+    q = normalized(axis_angle(axis, np.arctan2(np.linalg.norm(axis), up[2])))
+    quats, g_body = [q], [quat_to_matrix(q) @ G_WORLD]
+    accepted = 0
+    for i in range(1, len(t)):
+        w = gyro[i - 1]
+        q = normalized(quat_mul(axis_angle(w, -np.linalg.norm(w) * (t[i] - t[i - 1])), q))
+        a = accel[i]
+        norm = np.linalg.norm(a)
+        if GATE[0] <= norm / GRAVITY <= GATE[1]:
+            corr = GAIN * np.cross(quat_to_matrix(q) @ np.array([0.0, 0.0, 1.0]), a / norm)
+            ang = np.linalg.norm(corr)
+            if ang != 0.0:
+                q = normalized(quat_mul(axis_angle(corr, ang), q))
+                accepted += 1
+        quats.append(q)
+        g_body.append(quat_to_matrix(q) @ G_WORLD)
+    assert 0 < accepted < len(t) - 1          # the gate opens and closes
+    q_run, g_run = AttitudeFilter().run(t, gyro, accel)
+    assert np.array_equal(q_run, np.array(quats))
+    assert np.array_equal(g_run, np.array(g_body))

@@ -221,6 +221,29 @@ def test_fuse_jobs_flag_deterministic(tmp_path):
         open(os.path.join(o2, "sweep.csv")).read()
 
 
+def test_fuse_trajectory_is_the_last_combination(tmp_path):
+    """trajectory.csv holds the last rate x weight x seed run of the sweep:
+    the same bytes as a sweep of that one combination alone."""
+    cfg = _write(os.path.join(tmp_path, "g.cfg"),
+                 GEN_SMALL + "kind=ellipse\nperiod=6\nduration=3\n")
+    ds = os.path.join(tmp_path, "ds")
+    assert main(["generate", "--config", cfg, "--out", ds]) == 0
+    model = os.path.join(tmp_path, "m.json")
+    save_params(model, init_params(np.random.default_rng(0)))
+    runs = {"sweep": "weights=0.0,0.3\nrates=20,10\nseeds=1\n",
+            "alone": "weights=0.3\nrates=10\nseeds=1\n"}
+    for name, text in runs.items():
+        fcfg = _write(os.path.join(tmp_path, f"{name}.cfg"),
+                      text + "dropout_period=1.0\ndropout_len=0.3\n")
+        assert main(["fuse", "--dataset", ds, "--model", model, "--out",
+                     os.path.join(tmp_path, name), "--config", fcfg]) == 0
+    sweep = open(os.path.join(tmp_path, "sweep", "sweep.csv")).read().splitlines()
+    alone = open(os.path.join(tmp_path, "alone", "sweep.csv")).read().splitlines()
+    assert len(sweep) == 5 and sweep[-1] == alone[-1]
+    assert open(os.path.join(tmp_path, "sweep", "trajectory.csv")).read() == \
+        open(os.path.join(tmp_path, "alone", "trajectory.csv")).read()
+
+
 def _thinned_dataset(tmp_path, motors_stride=1, gt_stride=1):
     """A 2 s ellipse dataset at 100 Hz IMU whose motors.csv and
     groundtruth.csv keep every n-th IMU-rate sample, plus a model file."""

@@ -6,9 +6,9 @@ import pytest
 from conftest import constant_output_model
 
 from selfvio.evalign import TrajectoryEstimate, position_rmse
-from selfvio.fusion import (FusionConfig, fused_accel, make_visual_measurements,
-                            model_specific_force, run_filter,
-                            select_update_times)
+from selfvio.fusion import (FilterDivergence, FusionConfig, fused_accel,
+                            make_visual_measurements, model_specific_force,
+                            run_filter, select_update_times)
 from selfvio.geometry import ContractViolation
 from selfvio.synth import (NoiseSpec, RefDynamicsParams, TrajectorySpec,
                            simulate_imu_motors)
@@ -156,3 +156,65 @@ def test_model_specific_force_is_the_rollout_bracket():
         accel = np.r_[rng.normal(size=2), prep.az[j]]
         sf = model_specific_force(params, ro.vel[j], accel, prep.gyro[j], prep.rpm[j])
         assert np.array_equal(sf, ro.specific_force[j])
+
+
+def _random_model(seed=11):
+    from selfvio.dronemodel import init_params
+    return init_params(np.random.default_rng(seed),
+                       norm_mean=np.r_[0, 0, 0, 9.8, 0, 0, 0, [9000.0] * 4],
+                       norm_std=np.r_[2, 2, 2, 1, 1, 1, 1, [500.0] * 4])
+
+
+def test_model_specific_force_stacked_rows_are_the_single_calls(rng):
+    params = _random_model()
+    vb = rng.normal(scale=3.0, size=(7, 3))
+    accel, gyro = np.r_[rng.normal(size=2), 9.7], rng.normal(size=3)
+    rpm = rng.uniform(8000.0, 10000.0, 4)
+    stacked = model_specific_force(params, vb, accel, gyro, rpm)
+    assert stacked.shape == (7, 3)
+    for j in range(7):
+        assert np.array_equal(stacked[j], model_specific_force(params, vb[j], accel,
+                                                               gyro, rpm))
+
+
+def test_batch_rows_are_the_single_runs():
+    """One pass over a mixed batch (two weights x two seeds, with dropout
+    windows and a model) agrees row for row with the four runs alone."""
+    sim, _ = _sim(duration=4.0, noise=NoiseSpec(seed=3, accel_std=0.2))
+    model = _random_model()
+    cam_idx = np.clip(np.searchsorted(sim.imu.t, sim.cam_t), 0, len(sim.imu.t) - 1)
+    drops = [(1.0, 1.6), (2.5, 3.0)]
+    pairs = [(w, s) for w in (0.0, 0.3) for s in (4, 9)]
+    cfg = FusionConfig(model_weight=np.array([w for w, _ in pairs]), update_rate=30.0)
+    vis_t, vis_v = make_visual_measurements(sim.cam_t, sim.vel_b[cam_idx], cfg,
+                                            seed=[s for _, s in pairs],
+                                            dropout_windows=drops)
+    batch = run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm,
+                       sim.R_wb, vis_t, vis_v, model, cfg,
+                       p0=sim.pos_w[0], v0=sim.vel_w[0])
+    assert batch.pos.shape == (4, len(sim.imu.t), 3)
+    for b, (w, s) in enumerate(pairs):
+        cfg1 = FusionConfig(model_weight=w, update_rate=30.0)
+        t1, v1 = make_visual_measurements(sim.cam_t, sim.vel_b[cam_idx], cfg1, seed=s,
+                                          dropout_windows=drops)
+        assert np.array_equal(t1, vis_t) and np.array_equal(v1, vis_v[b])
+        one = run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm,
+                         sim.R_wb, t1, v1, model if w > 0 else None, cfg1,
+                         p0=sim.pos_w[0], v0=sim.vel_w[0])
+        assert one.n_updates == batch.n_updates
+        for name in ("pos", "vel_body", "vel_world"):
+            assert np.allclose(getattr(batch, name)[b], getattr(one, name),
+                               rtol=0.0, atol=1e-12), (name, w, s)
+
+
+def test_batch_with_one_nan_measurement_diverges():
+    sim, _ = _sim(duration=2.0)
+    cfg = FusionConfig(model_weight=np.array([0.0, 0.3, 0.3]), update_rate=30.0)
+    cam_idx = np.clip(np.searchsorted(sim.imu.t, sim.cam_t), 0, len(sim.imu.t) - 1)
+    vis_t, vis_v = make_visual_measurements(sim.cam_t, sim.vel_b[cam_idx], cfg,
+                                            seed=[0, 1, 2])
+    vis_v[1, 5, 0] = np.nan
+    with pytest.raises(FilterDivergence) as err:
+        run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm,
+                   sim.R_wb, vis_t, vis_v, constant_output_model(), cfg)
+    assert err.value.timestamp == sim.imu.t[np.searchsorted(sim.imu.t, vis_t[5])]
