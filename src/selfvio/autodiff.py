@@ -15,6 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -369,24 +371,44 @@ def rigid_transform(R, t, X, Y, Z):
     return tuple(row_var(i) for i in range(len(tv)))
 
 
-def _pad_index(n, p):
-    return np.clip(np.arange(-p, n + p), 0, n - 1)
+def _pad_blocks(n, p):
+    """The padded indices of pad_edge along an axis of length n, in order:
+    those that replicate entry 0, the interior run (entries 1..n-2) and
+    those that replicate entry n - 1."""
+    return range(p + 1), slice(p + 1, p + n - 1), range(max(p + n - 1, p + 1), n + 2 * p)
+
+
+def _fold_cols(acc, rows, p):
+    """Add each padded row of `rows` into its row of `acc`, folding the
+    replicated columns into the edge columns in column order."""
+    first, mid, last = _pad_blocks(acc.shape[1], p)
+    for j in first:
+        acc[:, 0] += rows[:, j]
+    acc[:, 1:-1] += rows[:, mid]
+    for j in last:
+        acc[:, -1] += rows[:, j]
 
 
 def pad_edge(a, p):
     """Replicate-pad a 2-D array by p on every side."""
     av = value(a)
-    iy = _pad_index(av.shape[0], p)
-    ix = _pad_index(av.shape[1], p)
+    out = np.pad(av, p, mode="edge")
     if not is_var(a):
-        return av[np.ix_(iy, ix)]
+        return out
 
     def vjp(g):
-        out = np.zeros(a.value.shape)
-        np.add.at(out, (iy[:, None], ix[None, :]), g)
-        return (out,)
+        # every padded entry's gradient into the entry it replicates, summed
+        # in row-major order over the padded grid (np.add.at's order)
+        gi = np.zeros(av.shape)
+        first, mid, last = _pad_blocks(av.shape[0], p)
+        for i in first:
+            _fold_cols(gi[:1], g[i:i + 1], p)
+        _fold_cols(gi[1:-1], g[mid], p)
+        for i in last:
+            _fold_cols(gi[-1:], g[i:i + 1], p)
+        return (gi,)
 
-    return Var(av[np.ix_(iy, ix)], (a,), vjp)
+    return Var(out, (a,), vjp)
 
 
 def _box_sum_valid(x, k):
@@ -431,30 +453,65 @@ def _snap_coords(c):
     return np.where(np.abs(c - r) <= COORD_SNAP, r, c)
 
 
-def bilinear_sample(img, x, y):
+class Stencil(NamedTuple):
+    """Where continuous pixel coords fall on an h x w grid: the flat index
+    y0 * w + x0 of each 2 x 2 cell's top-left corner, the fractions (fx, fy)
+    within the cell, and whether the coordinate lies inside the grid."""
+
+    idx: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    in_bounds: np.ndarray
+    shape: tuple
+
+
+def bilinear_stencil(x, y, shape):
+    """The Stencil of coords (x, y) (arrays, not Vars) on a grid of `shape`.
+
+    Coordinates within COORD_SNAP of an integer snap to it. A coordinate is
+    in bounds when it lies inside [0, W-1] x [0, H-1]; out-of-bounds cells
+    are clamped to the grid.
+    """
+    h, w = shape
+    xv = _snap_coords(x)
+    yv = _snap_coords(y)
+    in_bounds = (xv >= 0.0) & (xv <= w - 1.0) & (yv >= 0.0) & (yv <= h - 1.0)
+    x0 = np.floor(xv)
+    np.clip(x0, 0, w - 2, out=x0)
+    y0 = np.floor(yv)
+    np.clip(y0, 0, h - 2, out=y0)
+    fx = np.subtract(xv, x0, out=xv)
+    np.clip(fx, 0.0, 1.0, out=fx)
+    fy = np.subtract(yv, y0, out=yv)
+    np.clip(fy, 0.0, 1.0, out=fy)
+    y0 *= w
+    y0 += x0
+    return Stencil(y0.astype(np.intp), fx, fy, in_bounds, (h, w))
+
+
+def bilinear_sample(img, x, y, stencil=None):
     """Bilinearly sample `img` at continuous pixel coords (x, y).
 
-    Returns (samples, in_bounds). A coordinate is in bounds when it lies
-    inside [0, W-1] x [0, H-1]; out-of-bounds lookups are clamped (the
-    caller decides how to mask them). Gradients flow to x, y, and to img
-    when any of them is a Var; coordinate gradients at out-of-bounds
-    pixels are zeroed.
+    Returns (samples, in_bounds). Out-of-bounds lookups are clamped (the
+    caller decides how to mask them). `stencil` is bilinear_stencil of
+    (x, y) on img's grid, when the caller already has it (several images
+    sampled at the same coords). Gradients flow to x, y, and to img when
+    any of them is a Var; coordinate gradients at out-of-bounds pixels are
+    zeroed.
     """
     iv = value(img)
-    xv = _snap_coords(value(x))
-    yv = _snap_coords(value(y))
     h, w = iv.shape
-    in_bounds = (xv >= 0.0) & (xv <= w - 1.0) & (yv >= 0.0) & (yv <= h - 1.0)
+    if stencil is None:
+        stencil = bilinear_stencil(value(x), value(y), (h, w))
+    elif stencil.shape != (h, w):
+        raise ValueError("stencil was built for another grid shape")
+    idx, fx, fy, in_bounds, _ = stencil
 
-    x0 = np.clip(np.floor(xv), 0, w - 2).astype(np.intp)
-    y0 = np.clip(np.floor(yv), 0, h - 2).astype(np.intp)
-    fx = np.clip(xv - x0, 0.0, 1.0)
-    fy = np.clip(yv - y0, 0.0, 1.0)
-
-    i00 = iv[y0, x0]
-    i01 = iv[y0, x0 + 1]
-    i10 = iv[y0 + 1, x0]
-    i11 = iv[y0 + 1, x0 + 1]
+    flat = iv.ravel()
+    i00 = flat.take(idx)
+    i01 = flat.take(idx + 1)
+    i10 = flat.take(idx + w)
+    i11 = flat.take(idx + (w + 1))
 
     top = i00 + fx * (i01 - i00)
     bot = i10 + fx * (i11 - i10)
@@ -463,23 +520,21 @@ def bilinear_sample(img, x, y):
     if not (is_var(img) or is_var(x) or is_var(y)):
         return out, in_bounds
 
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w01 = fx * (1.0 - fy)
-    w10 = (1.0 - fx) * fy
-    w11 = fx * fy
-
     parents = tuple(v for v in (img, x, y) if is_var(v))
 
     def vjp(g):
         out_grads = []
         if is_var(img):
-            gi = np.zeros((h, w))
+            # one scatter of the four corners' weighted gradients, corner by
+            # corner as four np.add.at calls would add them
             gm = g * in_bounds
-            np.add.at(gi, (y0, x0), gm * w00)
-            np.add.at(gi, (y0, x0 + 1), gm * w01)
-            np.add.at(gi, (y0 + 1, x0), gm * w10)
-            np.add.at(gi, (y0 + 1, x0 + 1), gm * w11)
-            out_grads.append(gi)
+            weights = np.concatenate([(gm * ((1.0 - fx) * (1.0 - fy))).ravel(),
+                                      (gm * (fx * (1.0 - fy))).ravel(),
+                                      (gm * ((1.0 - fx) * fy)).ravel(),
+                                      (gm * (fx * fy)).ravel()])
+            corners = np.concatenate([idx.ravel(), (idx + 1).ravel(),
+                                      (idx + w).ravel(), (idx + (w + 1)).ravel()])
+            out_grads.append(np.bincount(corners, weights, h * w).reshape(h, w))
         if is_var(x):
             ddx = (1.0 - fy) * (i01 - i00) + fy * (i11 - i10)
             out_grads.append(g * ddx * in_bounds)

@@ -63,6 +63,13 @@ class DroneModelParams:
     scales: dict           # sequence id -> s
     version: int = MODEL_VERSION
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "norm_std":
+            # the z-scoring divisor, once per assignment rather than per MLP
+            # call; norm_std itself stays as stored (model.json)
+            super().__setattr__("_norm_div", np.maximum(value, _STD_FLOOR))
+
     def copy(self) -> "DroneModelParams":
         return DroneModelParams(
             weights=[w.copy() for w in self.weights],
@@ -145,7 +152,7 @@ def _mlp_forward(params: DroneModelParams, x_raw, rowwise=False):
     rowwise: each row's output does not depend on the batch (`_rowwise_dot`)."""
     # np.dot: less per-call cost than @
     dot = _rowwise_dot if rowwise and len(x_raw) > 1 else np.dot
-    xn = (x_raw - params.norm_mean) / np.maximum(params.norm_std, _STD_FLOOR)
+    xn = (x_raw - params.norm_mean) / params._norm_div
     h = xn
     acts = [xn]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -165,7 +172,7 @@ def _mlp_backward(params: DroneModelParams, cache, d_out):
         dzs[li] = dz
         dh = np.dot(dz, params.weights[li])
         if li == 0:
-            return dh / np.maximum(params.norm_std, _STD_FLOOR), dzs
+            return dh / params._norm_div, dzs
         dz = dh * (1.0 - acts[li] ** 2)
 
 

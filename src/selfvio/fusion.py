@@ -138,6 +138,10 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
     blend = bool(np.any(w))
     if blend and model is None:
         raise ContractViolation("model required when model_weight > 0")
+    # a batch evaluates the model only on its rows with w > 0; a w = 0 row
+    # blends to its IMU sample (0 * m + 1.0 * a is a, for a finite m)
+    on = None if single or np.all(w) else w[:, 0] > 0.0
+    w_on = w if on is None else w[on]
     x = np.empty((B, 6))                # rows [p, v]; p and v are views
     x[:, :3] = 0.0 if p0 is None else p0
     x[:, 3:] = 0.0 if v0 is None else v0
@@ -165,9 +169,14 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
         dt = t_next - t_list[i]
         Rb = R_wb[i]
         if blend:
-            sf_model = model_specific_force(model, _matvec(Rb.T, v), accel[i],
-                                            gyro[i], rpm[i])
-            a_w = _matvec(Rb, fused_accel(accel[i], sf_model, w)) + G_WORLD
+            sf_model = model_specific_force(model, _matvec(Rb.T, v if on is None else v[on]),
+                                            accel[i], gyro[i], rpm[i])
+            fused = fused_accel(accel[i], sf_model, w_on)
+            if on is not None:
+                fused_on, fused = fused, np.empty((B, 3))
+                fused[:] = accel[i]
+                fused[on] = fused_on
+            a_w = _matvec(Rb, fused) + G_WORLD
         else:                           # IMU only: one a_w for every row
             a_w = Rb @ accel[i] + G_WORLD
         p += v * dt                     # p + v dt + a dt^2 / 2, in that order

@@ -49,11 +49,21 @@ class CameraIntrinsics:
             raise ContractViolation("principal point must lie inside the image")
 
     def normalized_grid(self):
-        """Per-pixel normalized ray coordinates ((u-cx)/fx, (v-cy)/fy)."""
-        u = np.arange(self.width, dtype=np.float64)
-        v = np.arange(self.height, dtype=np.float64)
-        uu, vv = np.meshgrid(u, v)
-        return (uu - self.cx) / self.fx, (vv - self.cy) / self.fy
+        """Per-pixel normalized ray coordinates ((u-cx)/fx, (v-cy)/fy), read-only.
+
+        Computed once per set of intrinsics values and kept on the instance,
+        since every warp needs it.
+        """
+        key = (self.fx, self.fy, self.cx, self.cy, self.width, self.height)
+        cached = self.__dict__.get("_grid")
+        if cached is None or cached[0] != key:
+            u = np.arange(self.width, dtype=np.float64)
+            v = np.arange(self.height, dtype=np.float64)
+            uu, vv = np.meshgrid(u, v)
+            xn, yn = (uu - self.cx) / self.fx, (vv - self.cy) / self.fy
+            xn.flags.writeable = yn.flags.writeable = False
+            cached = self._grid = (key, xn, yn)
+        return cached[1], cached[2]
 
 
 # --------------------------------------------------------------------------
@@ -367,11 +377,22 @@ def project_grid(depth_t, K: CameraIntrinsics, R, t):
     return xs, ys, Zc, front
 
 
-def warp_image(source, depth_t, K: CameraIntrinsics, R, t):
-    """Generic inverse warp; returns (recon, mask) with recon zeroed at
-    invalid pixels. Differentiates through depth_t/R/t when they are Vars."""
+def warp_grid(depth_t, K: CameraIntrinsics, R, t):
+    """What a warp needs from one pose: project_grid's (xs, ys) and front
+    mask, plus the bilinear stencil of (xs, ys) on the image grid. Pass it
+    as `grid` to warp_image and warp_depth_parts when both warp through the
+    same pose, so the pose is projected once."""
     xs, ys, _, front = project_grid(depth_t, K, R, t)
-    sampled, in_bounds = ad.bilinear_sample(source, xs, ys)
+    stencil = ad.bilinear_stencil(ad.value(xs), ad.value(ys), (K.height, K.width))
+    return xs, ys, front, stencil
+
+
+def warp_image(source, depth_t, K: CameraIntrinsics, R, t, grid=None):
+    """Generic inverse warp; returns (recon, mask) with recon zeroed at
+    invalid pixels. Differentiates through depth_t/R/t when they are Vars.
+    grid: warp_grid(depth_t, K, R, t), when the caller already has it."""
+    xs, ys, front, stencil = warp_grid(depth_t, K, R, t) if grid is None else grid
+    sampled, in_bounds = ad.bilinear_sample(source, xs, ys, stencil)
     mask = front & in_bounds
     recon = sampled * mask.astype(np.float64)
     return recon, mask
@@ -392,17 +413,17 @@ def inverse_warp(source, depth_t, pose: SE3Pose, K: CameraIntrinsics):
     return warp_image(source, depth_t, K, R, t)
 
 
-def warp_depth_parts(source_depth, depth_t, K: CameraIntrinsics, R, t):
+def warp_depth_parts(source_depth, depth_t, K: CameraIntrinsics, R, t, grid=None):
     """Warp a source depth map onto the target grid, in target coordinates.
 
     Samples source_depth at the projected coordinates, lifts the sampled
     value back to a 3-D point in the source frame, and transforms it into
     the target frame; the reported depth is that point's target-frame z.
     Returns (warped, mask) where `warped` holds safe positive values at
-    masked pixels (callers decide the fill policy).
+    masked pixels (callers decide the fill policy). grid: as in warp_image.
     """
-    xs, ys, _, front = project_grid(depth_t, K, R, t)
-    ds, in_bounds = ad.bilinear_sample(source_depth, xs, ys)
+    xs, ys, front, stencil = warp_grid(depth_t, K, R, t) if grid is None else grid
+    ds, in_bounds = ad.bilinear_sample(source_depth, xs, ys, stencil)
 
     xn_s = (xs - K.cx) / K.fx
     yn_s = (ys - K.cy) / K.fy

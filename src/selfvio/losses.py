@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .geometry import (CameraIntrinsics, ContractViolation, SE3Pose,
                        invert_entries, pose_entries, warp_depth_parts,
-                       warp_image)
+                       warp_grid, warp_image)
 
 SCHEME_BENCHMARK = "benchmark"
 SCHEME_2F = "2f"
@@ -77,12 +77,18 @@ _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
 
 
-def ssim_map(a, b, window=3):
-    """Per-pixel (1 - SSIM)/2 with k x k box statistics (replicate-padded)."""
-    mu_a = ad.box_mean_same(a, window)
+def ssim_stats(b, window=3):
+    """The k x k box mean and variance of b that ssim_map uses."""
     mu_b = ad.box_mean_same(b, window)
+    return mu_b, ad.box_mean_same(b * b, window) - mu_b * mu_b
+
+
+def ssim_map(a, b, window=3, b_stats=None):
+    """Per-pixel (1 - SSIM)/2 with k x k box statistics (replicate-padded).
+    b_stats: ssim_stats(b, window), when the caller already has it."""
+    mu_a = ad.box_mean_same(a, window)
+    mu_b, var_b = ssim_stats(b, window) if b_stats is None else b_stats
     var_a = ad.box_mean_same(a * a, window) - mu_a * mu_a
-    var_b = ad.box_mean_same(b * b, window) - mu_b * mu_b
     cov = ad.box_mean_same(a * b, window) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
@@ -98,11 +104,11 @@ def ssim_loss(a, b, window=3):
     return ssim_map(a, b, window)
 
 
-def appearance_map(recon, target, cfg: LossConfig):
+def appearance_map(recon, target, cfg: LossConfig, target_stats=None):
     l1 = ad.absolute(recon - target)
     if cfg.alpha == 0.0:
         return l1
-    s = ssim_map(recon, target, cfg.ssim_window)
+    s = ssim_map(recon, target, cfg.ssim_window, target_stats)
     if cfg.alpha == 1.0:
         return s
     return (1.0 - cfg.alpha) * l1 + cfg.alpha * s
@@ -185,24 +191,54 @@ masked_min_depth = masked_min_photometric   # same contract, for depth maps
 
 
 def _check_arity(frames, depths, n_poses, cfg):
+    """depths and n_poses may be None (not checked)."""
     if cfg.scheme == SCHEME_2F:
         want_frames, want_poses = 2, 1
     else:
         want_frames, want_poses = 3, 2
-    if len(frames) != want_frames or len(depths) != want_frames:
+    if len(frames) != want_frames or (depths is not None and len(depths) != want_frames):
         raise ContractViolation(
             f"scheme {cfg.scheme} expects {want_frames} frames/depths")
-    if n_poses != want_poses:
+    if n_poses is not None and n_poses != want_poses:
         raise ContractViolation(f"scheme {cfg.scheme} expects {want_poses} pose(s)")
 
 
-def _photo_term(source_img, target_img, depth_target, K, R, t, cfg):
-    recon, mask = warp_image(source_img, depth_target, K, R, t)
-    return appearance_map(recon, target_img, cfg), mask
+@dataclass
+class PairConstants:
+    """The pose-independent terms of one pair's (or triplet's) loss, built
+    by `pair_constants` once and shared by every evaluation at that pair."""
+
+    target_stats: tuple        # ssim_stats of each photometric term's target (None at alpha 0)
+    smoothness: float | None   # the smoothness term, when the depths are held fixed
 
 
-def _depth_term(source_depth, depth_target, K, R, t, benchmark):
-    warped, mask = warp_depth_parts(source_depth, depth_target, K, R, t)
+def pair_constants(frames, cfg: LossConfig, depths=None) -> PairConstants:
+    """Pose-independent terms of the scheme's loss on `frames`.
+
+    depths: the pair's depths when they stay fixed across evaluations; the
+    smoothness term is then a constant too. Leave it out when the target
+    depth is optimized.
+    """
+    _check_arity(frames, depths, None, cfg)
+    # 2f's photometric terms target the current and the previous frame;
+    # the triplet schemes' both target the current frame
+    if cfg.alpha == 0.0:
+        stats = (None, None)
+    elif cfg.scheme == SCHEME_2F:
+        stats = tuple(ssim_stats(frames[i], cfg.ssim_window) for i in (1, 0))
+    else:
+        stats = (ssim_stats(frames[1], cfg.ssim_window),) * 2
+    smooth = None if depths is None else smoothness_loss(1.0 / depths[1], frames[1])
+    return PairConstants(stats, smooth)
+
+
+def _photo_term(source_img, target_img, depth_target, K, R, t, grid, cfg, target_stats):
+    recon, mask = warp_image(source_img, depth_target, K, R, t, grid)
+    return appearance_map(recon, target_img, cfg, target_stats), mask
+
+
+def _depth_term(source_depth, depth_target, K, R, t, grid, benchmark):
+    warped, mask = warp_depth_parts(source_depth, depth_target, K, R, t, grid)
     if benchmark:
         # zero-fill like the unmasked baseline: hits the max error of 1
         filled = warped * mask.astype(np.float64)
@@ -211,57 +247,62 @@ def _depth_term(source_depth, depth_target, K, R, t, benchmark):
     return depth_consistency_map(filled, depth_target), mask
 
 
-def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossConfig):
+def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossConfig,
+                       consts: PairConstants | None = None):
     """Scheme dispatch on (R, t) poses; Var-friendly.
 
     frames: list of constant images. depths: ndarray or Var per frame.
     poses_rt: (R, t) transforms, each a (3, 3) and a (3,) array or Var;
     for 2f a single transform mapping current-frame coordinates into the
     previous frame, for 3f/benchmark the two transforms (cur->prev,
-    cur->next).
+    cur->next). consts: pair_constants of these frames (and depths, when
+    fixed); without it, each term computes its constant parts inline.
     """
     _check_arity(frames, depths, len(poses_rt), cfg)
     diag = LossDiagnostics(scheme=cfg.scheme)
+    s1, s2 = (None, None) if consts is None else consts.target_stats
 
     if cfg.scheme == SCHEME_2F:
         prev_img, cur_img = frames
         prev_depth, cur_depth = depths
         R, t = poses_rt[0]
         Ri, ti = invert_entries(R, t)
+        g1 = warp_grid(cur_depth, K, R, t)
+        g2 = warp_grid(prev_depth, K, Ri, ti)
 
-        e1, m1 = _photo_term(prev_img, cur_img, cur_depth, K, R, t, cfg)
-        e2, m2 = _photo_term(cur_img, prev_img, prev_depth, K, Ri, ti, cfg)
+        e1, m1 = _photo_term(prev_img, cur_img, cur_depth, K, R, t, g1, cfg, s1)
+        e2, m2 = _photo_term(cur_img, prev_img, prev_depth, K, Ri, ti, g2, cfg, s2)
         photo, n_p = _masked_min_mean([e1, e2], [m1, m2])
 
-        d1, dm1 = _depth_term(prev_depth, cur_depth, K, R, t, benchmark=False)
-        d2, dm2 = _depth_term(cur_depth, prev_depth, K, Ri, ti, benchmark=False)
+        d1, dm1 = _depth_term(prev_depth, cur_depth, K, R, t, g1, benchmark=False)
+        d2, dm2 = _depth_term(cur_depth, prev_depth, K, Ri, ti, g2, benchmark=False)
         depth_l, n_d = _masked_min_mean([d1, d2], [dm1, dm2])
-
-        smooth_img, smooth_depth = cur_img, cur_depth
     else:
         prev_img, cur_img, next_img = frames
         prev_depth, cur_depth, next_depth = depths
         (R1, t1), (R2, t2) = poses_rt
+        g1 = warp_grid(cur_depth, K, R1, t1)
+        g2 = warp_grid(cur_depth, K, R2, t2)
 
-        e1, m1 = _photo_term(prev_img, cur_img, cur_depth, K, R1, t1, cfg)
-        e2, m2 = _photo_term(next_img, cur_img, cur_depth, K, R2, t2, cfg)
+        e1, m1 = _photo_term(prev_img, cur_img, cur_depth, K, R1, t1, g1, cfg, s1)
+        e2, m2 = _photo_term(next_img, cur_img, cur_depth, K, R2, t2, g2, cfg, s2)
 
         if cfg.scheme == SCHEME_3F:
             photo, n_p = _masked_min_mean([e1, e2], [m1, m2])
-            d1, dm1 = _depth_term(prev_depth, cur_depth, K, R1, t1, benchmark=False)
-            d2, dm2 = _depth_term(next_depth, cur_depth, K, R2, t2, benchmark=False)
+            d1, dm1 = _depth_term(prev_depth, cur_depth, K, R1, t1, g1, benchmark=False)
+            d2, dm2 = _depth_term(next_depth, cur_depth, K, R2, t2, g2, benchmark=False)
             depth_l, n_d = _masked_min_mean([d1, d2], [dm1, dm2])
         else:
             photo = ad.amean(ad.minimum(e1, e2))
             n_p = e1 if isinstance(e1, np.ndarray) else e1.value
             n_p = int(n_p.size)
-            d1, _ = _depth_term(prev_depth, cur_depth, K, R1, t1, benchmark=True)
+            d1, _ = _depth_term(prev_depth, cur_depth, K, R1, t1, g1, benchmark=True)
             depth_l = ad.amean(d1)
             n_d = n_p
 
-        smooth_img, smooth_depth = cur_img, cur_depth
-
-    smooth = smoothness_loss(1.0 / smooth_depth, smooth_img)
+    smooth = None if consts is None else consts.smoothness
+    if smooth is None:
+        smooth = smoothness_loss(1.0 / depths[1], frames[1])
     total = photo + cfg.lambda1 * depth_l + cfg.lambda2 * smooth
 
     diag.photometric = float(ad.value(photo))

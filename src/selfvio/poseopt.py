@@ -20,7 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .evalign import TrajectoryEstimate
 from .geometry import ContractViolation, SE3Pose, se3_exp, se3_exp_entries
-from .losses import SCHEME_2F, DegenerateBatchError, LossConfig, total_loss_generic
+from .losses import (SCHEME_2F, DegenerateBatchError, LossConfig, pair_constants,
+                     total_loss_generic)
 
 DEPTH_MODES = ("gt-scaled", "optimize")
 
@@ -68,14 +69,22 @@ def _n_twists(cfg: LossConfig):
     return 1 if cfg.scheme == SCHEME_2F else 2
 
 
-def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None):
+def _check_consts(consts, depth_log):
+    if depth_log is not None and consts is not None and consts.smoothness is not None:
+        raise ContractViolation("pair constants with a fixed smoothness term "
+                                "cannot serve an optimized depth")
+
+
+def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, consts=None):
     """Total loss, its twist gradient, and optionally the gradient with
     respect to log target depth.
 
     twists: (6*n,) stacked twist vector. depth_log: (H,W) log of the
     target-frame depth; when given, it replaces the target entry of
-    `depths` through exp().
+    `depths` through exp(). consts: the pair's `pair_constants`, when the
+    caller evaluates the pair repeatedly.
     """
+    _check_consts(consts, depth_log)
     n = _n_twists(cfg)
     xiv = ad.Var(np.asarray(twists, dtype=np.float64))
     poses_rt = [se3_exp_entries(xiv[6 * j:6 * j + 6]) for j in range(n)]
@@ -86,7 +95,7 @@ def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None):
         dvar = ad.Var(np.asarray(depth_log, dtype=np.float64))
         depths[-1 if cfg.scheme == SCHEME_2F else 1] = ad.exp(dvar)
 
-    loss, diag = total_loss_generic(frames, depths, poses_rt, K, cfg)
+    loss, diag = total_loss_generic(frames, depths, poses_rt, K, cfg, consts)
     loss.backward()
     g_twist = xiv.grad.copy() if xiv.grad is not None else np.zeros(6 * n)
     g_depth = None
@@ -95,14 +104,15 @@ def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None):
     return float(loss.value), g_twist, g_depth, diag
 
 
-def _loss_only(frames, depths, twists, K, cfg, depth_log=None):
+def _loss_only(frames, depths, twists, K, cfg, depth_log=None, consts=None):
+    _check_consts(consts, depth_log)
     n = _n_twists(cfg)
     twists = np.asarray(twists, dtype=np.float64)
     poses_rt = [se3_exp_entries(twists[6 * j:6 * j + 6]) for j in range(n)]
     depths = list(depths)
     if depth_log is not None:
         depths[-1 if cfg.scheme == SCHEME_2F else 1] = np.exp(depth_log)
-    loss, _ = total_loss_generic(frames, depths, poses_rt, K, cfg)
+    loss, _ = total_loss_generic(frames, depths, poses_rt, K, cfg, consts)
     return float(loss)
 
 
@@ -125,6 +135,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         raise ContractViolation(f"init twist must be a finite ({6 * n},) vector")
     dlog = np.log(depths[-1 if cfg.scheme == SCHEME_2F else 1]) \
         if opt.depth_mode == "optimize" else None
+    consts = pair_constants(frames, cfg, None if dlog is not None else depths)
 
     z_bar = float(np.mean(depths[-1 if cfg.scheme == SCHEME_2F else 1]))
     f_bar = 0.5 * (K.fx + K.fy)
@@ -143,7 +154,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         return flow
 
     trace = []
-    loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog)
+    loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
     if not np.isfinite(loss):
         raise OptimizationDiverged("initial loss is not finite", trace)
     best = (loss, theta.copy(), None if dlog is None else dlog.copy())
@@ -166,7 +177,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
             cand_t = theta - (s / unit) * d_t
             cand_d = None if dlog is None else dlog - (s / unit) * d_d
             try:
-                cand_loss = _loss_only(frames, depths, cand_t, K, cfg, cand_d)
+                cand_loss = _loss_only(frames, depths, cand_t, K, cfg, cand_d, consts)
             except DegenerateBatchError:
                 cand_loss = np.inf     # candidate left no valid pixels
             if np.isnan(cand_loss):
@@ -187,7 +198,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         if decrease < opt.tol:
             converged = True
             break
-        loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog)
+        loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
 
     loss, theta, dlog = best
     return PoseEstimate(
@@ -269,10 +280,11 @@ def sweep_losses(frames, depths, base_twists, gammas, K, cfg: LossConfig):
     direction.
     """
     base = np.asarray(base_twists, dtype=np.float64)
+    consts = pair_constants(frames, cfg, depths)
     out = np.empty(len(gammas))
     for i, g in enumerate(gammas):
         try:
-            out[i] = _loss_only(frames, depths, g * base, K, cfg)
+            out[i] = _loss_only(frames, depths, g * base, K, cfg, consts=consts)
         except DegenerateBatchError:
             out[i] = np.inf      # candidate leaves no jointly-valid pixels
     return out

@@ -1,6 +1,7 @@
 """Finite-difference checks for every autodiff primitive."""
 
 import numpy as np
+import pytest
 
 from selfvio import autodiff as ad
 
@@ -136,3 +137,73 @@ def test_bilinear_exact_at_integers(rng):
     out, mask = ad.bilinear_sample(img, xs, ys)
     assert mask.all()
     assert np.array_equal(out, img)
+
+
+def _sample_2d_reference(img, x, y):
+    """The sampler as 2-D fancy indexing: samples, in-bounds mask, and the
+    image gradient of sum(g * samples) as four np.add.at scatters."""
+    h, w = img.shape
+    xv, yv = ad._snap_coords(x), ad._snap_coords(y)
+    in_bounds = (xv >= 0.0) & (xv <= w - 1.0) & (yv >= 0.0) & (yv <= h - 1.0)
+    x0 = np.clip(np.floor(xv), 0, w - 2).astype(np.intp)
+    y0 = np.clip(np.floor(yv), 0, h - 2).astype(np.intp)
+    fx = np.clip(xv - x0, 0.0, 1.0)
+    fy = np.clip(yv - y0, 0.0, 1.0)
+    i00, i01 = img[y0, x0], img[y0, x0 + 1]
+    i10, i11 = img[y0 + 1, x0], img[y0 + 1, x0 + 1]
+    top = i00 + fx * (i01 - i00)
+    bot = i10 + fx * (i11 - i10)
+
+    def img_grad(g):
+        gi = np.zeros((h, w))
+        gm = g * in_bounds
+        np.add.at(gi, (y0, x0), gm * ((1.0 - fx) * (1.0 - fy)))
+        np.add.at(gi, (y0, x0 + 1), gm * (fx * (1.0 - fy)))
+        np.add.at(gi, (y0 + 1, x0), gm * ((1.0 - fx) * fy))
+        np.add.at(gi, (y0 + 1, x0 + 1), gm * (fx * fy))
+        return gi
+
+    return top + fy * (bot - top), in_bounds, img_grad
+
+
+def test_flat_stencil_sampler_is_the_2d_index_sampler(rng):
+    img = rng.random((9, 11))
+    xs = rng.uniform(-2.0, 12.0, size=(20, 30))
+    ys = rng.uniform(-2.0, 10.0, size=(20, 30))
+    # coordinates that snap to integers, edges and corners included
+    xs[::3] = np.round(xs[::3]) + rng.uniform(-5e-9, 5e-9, size=xs[::3].shape)
+    ys[::4] = np.round(ys[::4])
+    xs[0, :4], ys[0, :4] = [0.0, 10.0, 0.0, 10.0], [0.0, 0.0, 8.0, 8.0]
+    want, want_mask, img_grad = _sample_2d_reference(img, xs, ys)
+    assert want_mask.any() and not want_mask.all()
+
+    out, mask = ad.bilinear_sample(img, xs, ys)
+    assert np.array_equal(out, want) and np.array_equal(mask, want_mask)
+    # a second image sampled through the same stencil
+    st = ad.bilinear_stencil(xs, ys, img.shape)
+    img2 = rng.random(img.shape)
+    assert np.array_equal(ad.bilinear_sample(img2, xs, ys, st)[0],
+                          _sample_2d_reference(img2, xs, ys)[0])
+    with pytest.raises(ValueError):
+        ad.bilinear_sample(rng.random((9, 12)), xs, ys, st)
+
+    vi = ad.Var(img)
+    g = rng.normal(size=xs.shape)
+    o, _ = ad.bilinear_sample(vi, xs, ys)
+    ad.asum(o * g).backward()
+    assert np.array_equal(vi.grad, img_grad(g))
+
+
+@pytest.mark.parametrize("shape,p", [((12, 16), 1), ((5, 7), 2), ((1, 4), 2), ((3, 1), 1)])
+def test_pad_edge_is_the_index_gather_and_scatter(rng, shape, p):
+    x = rng.random(shape)
+    iy = np.clip(np.arange(-p, shape[0] + p), 0, shape[0] - 1)
+    ix = np.clip(np.arange(-p, shape[1] + p), 0, shape[1] - 1)
+    g = rng.normal(size=(len(iy), len(ix)))
+    v = ad.Var(x)
+    out = ad.pad_edge(v, p)
+    assert np.array_equal(out.value, x[np.ix_(iy, ix)])
+    ad.asum(out * g).backward()
+    want = np.zeros(shape)
+    np.add.at(want, (iy[:, None], ix[None, :]), g)
+    assert np.array_equal(v.grad, want)     # the scatter's order of sums, bitwise

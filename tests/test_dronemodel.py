@@ -10,8 +10,8 @@ from conftest import constant_output_model, recovery_sequence
 
 from selfvio.dronemodel import (DroneModelParams, ShortSequence, TrainConfig,
                                 TrainSequence, _batched_windows_loss_and_grads,
-                                _flatten, _unflatten_into, _zero_grads,
-                                init_params, load_params, model_forward,
+                                _flatten, _mlp_forward, _unflatten_into,
+                                _zero_grads, init_params, load_params, model_forward,
                                 prepare_sequence, rollout, save_params,
                                 smooth_teacher, teacher_velocity, train,
                                 window_loss_and_grads)
@@ -307,6 +307,22 @@ def test_training_requires_5s():
     seq, sim = recovery_sequence("short", 1, peak=5.0, period=8.0, duration=3.0)
     with pytest.raises(ContractViolation):
         train([seq], TrainConfig(steps=1))
+
+
+def test_input_divisor_is_the_floored_std(tmp_path, rng):
+    """The z-scoring divides by max(norm_std, floor), set with norm_std
+    (also on reassignment); model.json keeps the stored norm_std."""
+    p = init_params(rng, norm_mean=rng.normal(size=11), norm_std=np.full(11, 2.0))
+    p.norm_std = np.r_[1e-6, 0.0, 3.0, np.full(8, 0.5)]
+    x = rng.normal(size=(5, 11))
+    (_, (acts, _)), floor = _mlp_forward(p, x), 1e-3
+    assert np.array_equal(acts[0], (x - p.norm_mean) / np.maximum(p.norm_std, floor))
+    path = os.path.join(tmp_path, "m.json")
+    save_params(path, p)
+    q = load_params(path)
+    assert np.array_equal(q.norm_std, p.norm_std)
+    assert np.array_equal(_mlp_forward(q, x)[0], _mlp_forward(p, x)[0])
+    assert np.array_equal(_mlp_forward(p.copy(), x)[0], _mlp_forward(p, x)[0])
 
 
 # --- serialization -------------------------------------------------------------------

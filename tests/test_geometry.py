@@ -50,6 +50,16 @@ def test_intrinsics_invariants():
 # --- project ---------------------------------------------------------------
 
 
+def test_normalized_grid_follows_the_intrinsics():
+    K = small_intrinsics(8, 6, f=7.0)
+    xn, yn = K.normalized_grid()
+    assert K.normalized_grid()[0] is xn and not xn.flags.writeable
+    assert np.array_equal(yn[:, 0], (np.arange(6.0) - K.cy) / K.fy)
+    K.fx = 9.0
+    xn2, _ = K.normalized_grid()
+    assert np.array_equal(xn2[2], (np.arange(8.0) - K.cx) / 9.0)
+
+
 def test_project_identity_returns_input():
     K = small_intrinsics(32, 24, f=50.0)
     for p in [(3.0, 4.0), (10.0, 20.0), (31.0, 23.0)]:

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import forward_gate_instance, small_intrinsics, smooth_image
 
-from selfvio.geometry import SE3Pose, se3_exp, se3_log
-from selfvio.losses import SCHEME_2F, SCHEME_BENCHMARK, LossConfig
-from selfvio.poseopt import (OptimizerConfig, estimate_pose, loss_and_grad,
-                             run_sequence, sweep_losses)
+from selfvio.geometry import ContractViolation, SE3Pose, se3_exp, se3_log
+from selfvio.losses import (SCHEME_2F, SCHEME_BENCHMARK, SCHEMES, LossConfig,
+                            pair_constants)
+from selfvio.poseopt import (DEPTH_MODES, OptimizerConfig, _loss_only, estimate_pose,
+                             loss_and_grad, run_sequence, sweep_losses)
 from selfvio.synth import SceneSpec, camera_pose, render
 
 
@@ -208,3 +209,33 @@ def test_sweep_losses_minimum_near_truth(rng):
                        LossConfig(scheme=SCHEME_2F))
     g_star = gammas[np.argmin(l2f)]
     assert abs(g_star - 1.0) <= 0.0601
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+def test_pair_constants_are_the_inline_terms(scheme, depth_mode):
+    """The pose-independent terms built once per pair give bitwise the loss
+    computed inline, and the same twist and depth gradients."""
+    K = small_intrinsics(32, 24, f=30.0)
+    _, _, frames, xi1, xi2 = forward_gate_instance(5, K)
+    n = 1 if scheme == SCHEME_2F else 2
+    imgs = [f.image for f in frames[:n + 1]]
+    deps = [f.depth for f in frames[:n + 1]]
+    twists = 0.9 * (xi1 if n == 1 else np.concatenate([xi1, xi2]))
+    dlog = None
+    if depth_mode == "optimize":
+        dlog = np.log(deps[1]) + 0.01 * np.random.default_rng(1).standard_normal(deps[1].shape)
+    cfg = LossConfig(scheme=scheme)
+    consts = pair_constants(imgs, cfg, deps if dlog is None else None)
+
+    assert (_loss_only(imgs, deps, twists, K, cfg, dlog, consts)
+            == _loss_only(imgs, deps, twists, K, cfg, dlog))
+    loss, g_t, g_d, _ = loss_and_grad(imgs, deps, twists, K, cfg, dlog, consts)
+    want, want_t, want_d, _ = loss_and_grad(imgs, deps, twists, K, cfg, dlog)
+    assert loss == want
+    assert np.max(np.abs(g_t - want_t)) <= 1e-12 * np.max(np.abs(want_t))
+    if dlog is not None:
+        assert np.max(np.abs(g_d - want_d)) <= 1e-12 * np.max(np.abs(want_d))
+        # a fixed smoothness term cannot serve an optimized depth
+        with pytest.raises(ContractViolation):
+            _loss_only(imgs, deps, twists, K, cfg, dlog, pair_constants(imgs, cfg, deps))
