@@ -219,9 +219,15 @@ def cmd_estimate(args):
 
     diags = []
     for k, est in enumerate(estimates):
-        diags.append(f"{k},{est.converged},{est.iterations},{_f(est.final_loss)}")
+        # a failed pair has no loss: its components read nan, its counts 0
+        d = est.diagnostics or losses.LossDiagnostics(photometric=np.nan, depth=np.nan,
+                                                      smoothness=np.nan)
+        diags.append(f"{k},{est.converged},{est.iterations},{_f(est.final_loss)},"
+                     f"{_f(d.photometric)},{_f(d.depth)},{_f(d.smoothness)},"
+                     f"{d.valid_photo},{d.valid_depth}")
     _write_text(os.path.join(args.out, "diagnostics.csv"),
-                "pair,converged,iterations,final_loss\n" + "\n".join(diags) + "\n")
+                "pair,converged,iterations,final_loss,photometric,depth,smoothness,"
+                "valid_photo,valid_depth\n" + "\n".join(diags) + "\n")
 
     _echo_config(args.out, "estimate.echo.cfg", cfg)
     print(f"estimated {len(estimates)} pairs ({cfg['scheme']}) -> {args.out}")

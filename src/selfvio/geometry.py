@@ -10,19 +10,18 @@ Conventions (fixed across the package):
     standard closed form with the V matrix coupling the two blocks.
 
 The warp takes a pose as an (R, t) pair, a (3, 3) and a (3,) array
-(se3_exp_entries, pose_entries, invert_entries). R, t and the depth may
-each be an ndarray or an autodiff Var, so the pose optimizer can
-differentiate straight through the warp.
+(se3_exp_entries, pose_entries, invert_entries), as plain arrays. Each
+step has a closed-form reverse (the *_vjp functions); a pose's WarpGrid
+keeps what they need from the forward.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from . import autodiff as ad
 
 
 class ContractViolation(ValueError):
@@ -295,28 +294,28 @@ def se3_exp_entries(xi):
     """se3_exp as arrays: R (3, 3) and t (3,) of the twist xi (6,).
 
     se3_exp is this pair as an SE3Pose, and R is rotvec_to_matrix(xi[3:]).
-    When xi is a Var, R and t are two Vars whose only parent is xi; their
-    closed-form VJPs map dL/dR and dL/dt to dL/dxi (Sola et al., "A micro
-    Lie theory", 2018).
+    se3_exp_vjp is its reverse.
     """
-    xv = ad.value(xi)
-    rho, phi = xv[:3], xv[3:]
-    t2 = float(phi @ phi)
-    A, B, C, dA, dB, dC = _exp_coeffs(t2)
+    xi = np.asarray(xi, dtype=np.float64)
+    rho, phi = xi[:3], xi[3:]
+    A, B, C = _exp_coeffs(float(phi @ phi))[:3]
     K = skew(phi)
     KK = K @ K
     V = np.eye(3) + B * K + C * KK
-    R, t = np.eye(3) + A * K + B * KK, V @ rho
-    if not ad.is_var(xi):
-        return R, t
+    return np.eye(3) + A * K + B * KK, V @ rho
 
-    def vjp_R(G):
-        return (np.concatenate([np.zeros(3), _exp_vjp(G, phi, t2, A, B, dA, dB)]),)
 
-    def vjp_t(g):
-        return (np.concatenate([V.T @ g, _exp_vjp(np.outer(g, rho), phi, t2, B, C, dB, dC)]),)
-
-    return ad.Var(R, (xi,), vjp_R), ad.Var(t, (xi,), vjp_t)
+def se3_exp_vjp(xi, dR, dt):
+    """Gradient in the twist xi of <dR, R> + <dt, t>, where (R, t) =
+    se3_exp_entries(xi): the closed form of the exponential's derivative
+    (Sola et al., "A micro Lie theory", 2018)."""
+    rho, phi = xi[:3], xi[3:]
+    t2 = float(phi @ phi)
+    A, B, C, dA, dB, dC = _exp_coeffs(t2)
+    K = skew(phi)
+    V = np.eye(3) + B * K + C * (K @ K)
+    return np.concatenate([V.T @ dt, _exp_vjp(dR, phi, t2, A, B, dA, dB)
+                           + _exp_vjp(np.outer(dt, rho), phi, t2, B, C, dB, dC)])
 
 
 def pose_entries(pose: SE3Pose):
@@ -325,14 +324,124 @@ def pose_entries(pose: SE3Pose):
 
 
 def invert_entries(R, t):
-    """Exact inverse of (R, t): (R^T, -R^T t), as Vars when R or t is one."""
-    Rv, tv = ad.value(R), ad.value(t)
-    Ri, ti = Rv.T, -(Rv.T @ tv)
-    if not (ad.is_var(R) or ad.is_var(t)):
-        return Ri, ti
-    R, t = (x if ad.is_var(x) else ad.Var(x) for x in (R, t))
-    return (ad.Var(Ri, (R,), lambda G: (G.T,)),
-            ad.Var(ti, (R, t), lambda g: (-np.outer(tv, g), -(Rv @ g))))
+    """Exact inverse of (R, t): (R^T, -R^T t)."""
+    return R.T, -(R.T @ t)
+
+
+def invert_entries_vjp(R, t, dRi, dti):
+    """(dR, dt) of invert_entries(R, t) for the gradients (dRi, dti) of its outputs."""
+    return dRi.T - np.outer(t, dti), -(R @ dti)
+
+
+# --------------------------------------------------------------------------
+# bilinear sampling
+
+# Coordinates within this distance of an integer snap to it so that
+# identity warps reproduce the source image bit-exactly (fp mul/div
+# round-trips otherwise leave +-1 ulp wobble on the sample grid).
+COORD_SNAP = 1e-8
+
+
+def _snap_coords(c):
+    r = np.rint(c)
+    return np.where(np.abs(c - r) <= COORD_SNAP, r, c)
+
+
+class Stencil(NamedTuple):
+    """Where continuous pixel coords fall on an h x w grid: the flat index
+    y0 * w + x0 of each 2 x 2 cell's top-left corner, the fractions (fx, fy)
+    within the cell, and whether the coordinate lies inside the grid."""
+
+    idx: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    in_bounds: np.ndarray
+    shape: tuple
+
+
+def bilinear_stencil(x, y, shape):
+    """The Stencil of coords (x, y) on a grid of `shape`.
+
+    Coordinates within COORD_SNAP of an integer snap to it. A coordinate is
+    in bounds when it lies inside [0, W-1] x [0, H-1]; out-of-bounds cells
+    are clamped to the grid.
+    """
+    h, w = shape
+    xv = _snap_coords(x)
+    yv = _snap_coords(y)
+    in_bounds = (xv >= 0.0) & (xv <= w - 1.0) & (yv >= 0.0) & (yv <= h - 1.0)
+    x0 = np.floor(xv)
+    np.clip(x0, 0, w - 2, out=x0)
+    y0 = np.floor(yv)
+    np.clip(y0, 0, h - 2, out=y0)
+    fx = np.subtract(xv, x0, out=xv)
+    np.clip(fx, 0.0, 1.0, out=fx)
+    fy = np.subtract(yv, y0, out=yv)
+    np.clip(fy, 0.0, 1.0, out=fy)
+    y0 *= w
+    y0 += x0
+    return Stencil(y0.astype(np.intp), fx, fy, in_bounds, (h, w))
+
+
+class Sample(NamedTuple):
+    """Bilinear samples of an image through a stencil, with what their
+    coordinate gradient needs: the differences along x of the cell's top
+    and bottom corners (i01 - i00, i11 - i10) and the slope along y
+    (bottom minus top). The sample's reverse (sample_vjp) overwrites dbot
+    and dy."""
+
+    value: np.ndarray
+    dtop: np.ndarray
+    dbot: np.ndarray
+    dy: np.ndarray
+
+
+def sample(img, stencil: Stencil) -> Sample:
+    """Bilinearly sample `img` through `stencil`: the four corners are read
+    with `take` on the flat image. Out-of-bounds lookups are clamped (the
+    caller masks them with stencil.in_bounds)."""
+    if img.shape != stencil.shape:
+        raise ValueError("stencil was built for another grid shape")
+    idx, fx, fy = stencil.idx, stencil.fx, stencil.fy
+    w = stencil.shape[1]
+    flat = img.ravel()
+    i00 = flat.take(idx)
+    i10 = flat.take(idx + w)
+    dtop = flat.take(idx + 1) - i00
+    dbot = flat.take(idx + (w + 1)) - i10
+    top = i00 + fx * dtop
+    dy = i10 + fx * dbot - top
+    return Sample(top + fy * dy, dtop, dbot, dy)
+
+
+def sample_vjp(g, s: Sample, stencil: Stencil):
+    """Coordinate gradients (dL/dx, dL/dy) of sample(img, stencil) for
+    dL/dvalue = g, where g vanishes off the stencil's in-bounds mask.
+    Computed in place of s.dbot and s.dy, so it runs once per sample."""
+    gx = s.dbot
+    gx -= s.dtop
+    gx *= stencil.fy
+    gx += s.dtop
+    gx *= g
+    gy = s.dy
+    gy *= g
+    return gx, gy
+
+
+def sample_image_vjp(g, stencil: Stencil):
+    """dL/dimg of sample(img, stencil) for dL/dvalue = g, counted only in
+    bounds: one scatter of the four corners' weighted gradients, corner by
+    corner as four np.add.at calls would add them."""
+    h, w = stencil.shape
+    idx, fx, fy = stencil.idx, stencil.fx, stencil.fy
+    gm = g * stencil.in_bounds
+    weights = np.concatenate([(gm * ((1.0 - fx) * (1.0 - fy))).ravel(),
+                              (gm * (fx * (1.0 - fy))).ravel(),
+                              (gm * ((1.0 - fx) * fy)).ravel(),
+                              (gm * (fx * fy)).ravel()])
+    corners = np.concatenate([idx.ravel(), (idx + 1).ravel(),
+                              (idx + w).ravel(), (idx + (w + 1)).ravel()])
+    return np.bincount(corners, weights, h * w).reshape(h, w)
 
 
 # --------------------------------------------------------------------------
@@ -360,41 +469,97 @@ def project(p, depth, K: CameraIntrinsics, pose: SE3Pose):
     return (K.fx * Xc[0] / Xc[2] + K.cx, K.fy * Xc[1] / Xc[2] + K.cy), True
 
 
+def rigid_transform(R, t, X, Y, Z):
+    """Rows of R @ (X, Y, Z) + t for a (k, 3) R and a (k,) t: row i is
+    R[i, 0] * X + R[i, 1] * Y + R[i, 2] * Z + t[i], evaluated in that order."""
+    return tuple(R[i, 0] * X + R[i, 1] * Y + R[i, 2] * Z + t[i] for i in range(len(t)))
+
+
 def project_grid(depth_t, K: CameraIntrinsics, R, t):
     """Warp coordinates for every target pixel.
 
-    depth_t, R (3, 3) and t (3,) may each be an ndarray or a Var. Returns
-    (xs, ys, zc, front) where front marks z > 0 and (xs, ys) are continuous
-    source-pixel coords (safe values where front is False).
+    Returns (xs, ys, zs, front) where front marks z > 0, zs is the divisor
+    of the dehomogenization (z where front, 1 elsewhere) and (xs, ys) are
+    continuous source-pixel coords (safe values where front is False).
     """
     xn, yn = K.normalized_grid()
-    Xc, Yc, Zc = ad.rigid_transform(R, t, xn * depth_t, yn * depth_t, depth_t)
+    Xc, Yc, Zc = rigid_transform(R, t, xn * depth_t, yn * depth_t, depth_t)
+    front = Zc > Z_EPS
+    zs = np.where(front, Zc, 1.0)
+    xs = K.fx * (Xc / zs) + K.cx
+    ys = K.fy * (Yc / zs) + K.cy
+    return xs, ys, zs, front
 
-    front = ad.value(Zc) > Z_EPS
-    Zs = ad.where(front, Zc, 1.0)
-    xs = K.fx * (Xc / Zs) + K.cx
-    ys = K.fy * (Yc / Zs) + K.cy
-    return xs, ys, Zc, front
+
+def project_grid_vjp(gx, gy, grid, depth_t, K: CameraIntrinsics, R, with_depth=False):
+    """Reverse of project_grid for dL/dxs = gx and dL/dys = gy, both zero
+    off the front mask: the pinhole Jacobian, then the rigid transform.
+
+    Returns (dR, dt, d depth_t), the last None unless with_depth. Works in
+    place of gx, gy and the grid's xs, ys and zs, so it runs once per grid.
+    """
+    xn, yn = K.normalized_grid()
+    # d/dz of fx X / z is -(fx X / z) / z, and fx X / z = xs - cx
+    dZ = grid.xs
+    dZ -= K.cx
+    dZ *= gx
+    tmp = grid.ys
+    tmp -= K.cy
+    tmp *= gy
+    dZ += tmp
+    dZ /= grid.zs
+    np.negative(dZ, out=dZ)
+    dX = gx
+    dX *= K.fx
+    dX /= grid.zs
+    dY = gy
+    dY *= K.fy
+    dY /= grid.zs
+    dR, dt = np.empty((3, 3)), np.empty(3)
+    for i, d in enumerate((dX, dY, dZ)):
+        dt[i] = d.sum()
+        np.multiply(d, depth_t, out=tmp)
+        dR[i] = tmp.ravel() @ xn.ravel(), tmp.ravel() @ yn.ravel(), tmp.sum()
+    if not with_depth:
+        return dR, dt, None
+    E = (R.T @ np.stack([dX, dY, dZ]).reshape(3, -1)).reshape((3,) + depth_t.shape)
+    return dR, dt, E[0] * xn + E[1] * yn + E[2]
+
+
+class WarpGrid:
+    """One pose's projection of the target grid (project_grid's xs, ys, zs
+    and front mask), the bilinear stencil of (xs, ys) on the image grid, and
+    the samples that warp_image and warp_depth_parts take through it, kept
+    for the reverse (`image`, and `depth` = (sample, xn_s, yn_s))."""
+
+    __slots__ = ("xs", "ys", "zs", "front", "stencil", "image", "depth")
+    # (the reverse, project_grid_vjp and warp_depth_vjp, works in place of
+    # these arrays, so it runs once per grid)
+
+    def __init__(self, xs, ys, zs, front, stencil):
+        self.xs, self.ys, self.zs, self.front, self.stencil = xs, ys, zs, front, stencil
+        self.image = self.depth = None
 
 
 def warp_grid(depth_t, K: CameraIntrinsics, R, t):
-    """What a warp needs from one pose: project_grid's (xs, ys) and front
-    mask, plus the bilinear stencil of (xs, ys) on the image grid. Pass it
-    as `grid` to warp_image and warp_depth_parts when both warp through the
-    same pose, so the pose is projected once."""
-    xs, ys, _, front = project_grid(depth_t, K, R, t)
-    stencil = ad.bilinear_stencil(ad.value(xs), ad.value(ys), (K.height, K.width))
-    return xs, ys, front, stencil
+    """What a warp needs from one pose: project_grid's outputs plus the
+    bilinear stencil of (xs, ys) on the image grid. Pass it as `grid` to
+    warp_image and warp_depth_parts when both warp through the same pose,
+    so the pose is projected once."""
+    xs, ys, zs, front = project_grid(depth_t, K, R, t)
+    return WarpGrid(xs, ys, zs, front, bilinear_stencil(xs, ys, (K.height, K.width)))
 
 
 def warp_image(source, depth_t, K: CameraIntrinsics, R, t, grid=None):
     """Generic inverse warp; returns (recon, mask) with recon zeroed at
-    invalid pixels. Differentiates through depth_t/R/t when they are Vars.
-    grid: warp_grid(depth_t, K, R, t), when the caller already has it."""
-    xs, ys, front, stencil = warp_grid(depth_t, K, R, t) if grid is None else grid
-    sampled, in_bounds = ad.bilinear_sample(source, xs, ys, stencil)
-    mask = front & in_bounds
-    recon = sampled * mask.astype(np.float64)
+    invalid pixels. grid: warp_grid(depth_t, K, R, t), when the caller
+    already has it; the sample is kept on it as grid.image."""
+    grid = warp_grid(depth_t, K, R, t) if grid is None else grid
+    grid.image = sample(source, grid.stencil)
+    mask = grid.front & grid.stencil.in_bounds
+    # masked in place: the kept sample's value is the reconstruction
+    recon = grid.image.value
+    recon *= mask
     return recon, mask
 
 
@@ -420,20 +585,54 @@ def warp_depth_parts(source_depth, depth_t, K: CameraIntrinsics, R, t, grid=None
     value back to a 3-D point in the source frame, and transforms it into
     the target frame; the reported depth is that point's target-frame z.
     Returns (warped, mask) where `warped` holds safe positive values at
-    masked pixels (callers decide the fill policy). grid: as in warp_image.
+    masked pixels (callers decide the fill policy). grid: as in warp_image;
+    what the reverse needs is kept on it as grid.depth.
     """
-    xs, ys, front, stencil = warp_grid(depth_t, K, R, t) if grid is None else grid
-    ds, in_bounds = ad.bilinear_sample(source_depth, xs, ys, stencil)
-
-    xn_s = (xs - K.cx) / K.fx
-    yn_s = (ys - K.cy) / K.fy
+    grid = warp_grid(depth_t, K, R, t) if grid is None else grid
+    s = sample(source_depth, grid.stencil)
+    ds = s.value
+    xn_s = (grid.xs - K.cx) / K.fx
+    yn_s = (grid.ys - K.cy) / K.fy
     Xs = xn_s * ds
     Ys = yn_s * ds
     Ri, ti = invert_entries(R, t)
     # target-frame z of the lifted source point: row 2 of R^T P - R^T t
-    (warped,) = ad.rigid_transform(Ri[2:], ti[2:], Xs, Ys, ds)
-    mask = front & in_bounds & (ad.value(warped) > 0.0)
+    (warped,) = rigid_transform(Ri[2:], ti[2:], Xs, Ys, ds)
+    mask = grid.front & grid.stencil.in_bounds & (warped > 0.0)
+    grid.depth = (s, xn_s, yn_s)
     return warped, mask
+
+
+def warp_depth_vjp(gw, grid, K: CameraIntrinsics, R, t):
+    """Reverse of warp_depth_parts through `grid` for dL/dwarped = gw, zero
+    off its mask.
+
+    Returns (gx, gy, dR, dt, gd): the gradients in the warp coordinates, the
+    pose gradient through the inverse's third row, and dL/d(sampled source
+    depth), which sample_image_vjp scatters onto the source depth map. Works
+    in place of gw and grid.depth, so it runs once per grid.
+    """
+    s, xn_s, yn_s = grid.depth
+    r = R[:, 2]                     # the third row of R^T
+    gwd = gw * s.value              # the gradient of Xs / xn_s, and of Ys / yn_s
+    dRi = np.zeros((3, 3))
+    dRi[2] = gwd.ravel() @ xn_s.ravel(), gwd.ravel() @ yn_s.ravel(), gw.ravel() @ s.value.ravel()
+    dti = np.zeros(3)
+    dti[2] = gw.sum()
+    # warped = r . (xn_s ds, yn_s ds, ds) - r . t
+    gd = xn_s
+    gd *= r[0]
+    yn_s *= r[1]
+    gd += yn_s
+    gd += r[2]
+    gd *= gw
+    gx, gy = sample_vjp(gd, s, grid.stencil)
+    np.multiply(gwd, r[1] / K.fy, out=yn_s)
+    gy += yn_s
+    gwd *= r[0] / K.fx
+    gx += gwd
+    dR, dt = invert_entries_vjp(R, t, dRi, dti)
+    return gx, gy, dR, dt, gd
 
 
 def warp_depth(source_depth, depth_t, pose: SE3Pose, K: CameraIntrinsics):

@@ -2,13 +2,14 @@
 descent on the reconstruction losses — the desk-scale stand-in for the
 CNN pose/depth networks, exercising exactly the same objectives.
 
-The optimizer differentiates the total loss through the warp with the
-in-package autodiff, parameterizing the relative pose as a 6-vector
-twist (12 for the triplet schemes, which carry two transforms); each
-twist enters the warp as the (R, t) Var pair of `se3_exp_entries`, whose
-closed-form VJP carries the gradient back to the twist. Plain
-gradient descent with backtracking (Armijo) line search: deterministic,
-loss non-increasing across accepted steps.
+The relative pose is a 6-vector twist (12 for the triplet schemes, which
+carry two transforms); each twist enters the warp as the (R, t) arrays of
+`se3_exp_entries`. The gradient comes from the loss's closed-form reverse
+(`total_loss_generic` with its vjp), run by one `autodiff.Var` loss node
+whose parents are the (R, t) of each pose and, when the target depth is
+optimized, its log; `se3_exp_vjp` then carries (dR, dt) back to the twist.
+Plain gradient descent with backtracking (Armijo) line search:
+deterministic, loss non-increasing across accepted steps.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .evalign import TrajectoryEstimate
-from .geometry import ContractViolation, SE3Pose, se3_exp, se3_exp_entries
-from .losses import (SCHEME_2F, DegenerateBatchError, LossConfig, pair_constants,
-                     total_loss_generic)
+from .geometry import ContractViolation, SE3Pose, se3_exp, se3_exp_entries, se3_exp_vjp
+from .losses import (SCHEME_2F, DegenerateBatchError, LossConfig, LossDiagnostics,
+                     pair_constants, total_loss_generic)
 
 DEPTH_MODES = ("gt-scaled", "optimize")
 
@@ -60,6 +61,7 @@ class PoseEstimate:
     iterations: int
     twist2: np.ndarray | None = None   # cur -> next (triplet schemes)
     depth: np.ndarray | None = None    # refined target depth (optimize mode)
+    diagnostics: LossDiagnostics | None = None   # loss components at the returned twist
 
     def pose(self) -> SE3Pose:
         return se3_exp(self.twist)
@@ -75,6 +77,16 @@ def _check_consts(consts, depth_log):
                                 "cannot serve an optimized depth")
 
 
+def _poses_and_depths(depths, twists, cfg, depth_log):
+    """The (R, t) of each twist, and the depths with the target entry
+    replaced by exp(depth_log) when it is given."""
+    poses_rt = [se3_exp_entries(twists[6 * j:6 * j + 6]) for j in range(_n_twists(cfg))]
+    depths = list(depths)
+    if depth_log is not None:
+        depths[1] = np.exp(depth_log)
+    return poses_rt, depths
+
+
 def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, consts=None):
     """Total loss, its twist gradient, and optionally the gradient with
     respect to log target depth.
@@ -85,35 +97,39 @@ def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, co
     caller evaluates the pair repeatedly.
     """
     _check_consts(consts, depth_log)
-    n = _n_twists(cfg)
-    xiv = ad.Var(np.asarray(twists, dtype=np.float64))
-    poses_rt = [se3_exp_entries(xiv[6 * j:6 * j + 6]) for j in range(n)]
+    twists = np.asarray(twists, dtype=np.float64)
+    poses_rt, depths = _poses_and_depths(depths, twists, cfg, depth_log)
+    loss, diag, vjp = total_loss_generic(frames, depths, poses_rt, K, cfg, consts, True)
 
-    depths = list(depths)
-    dvar = None
+    # one loss node over the (R, t) leaves of each pose and the depth log
+    leaves = [ad.Var(x) for rt in poses_rt for x in rt]
     if depth_log is not None:
-        dvar = ad.Var(np.asarray(depth_log, dtype=np.float64))
-        depths[-1 if cfg.scheme == SCHEME_2F else 1] = ad.exp(dvar)
+        leaves.append(ad.Var(depth_log))
 
-    loss, diag = total_loss_generic(frames, depths, poses_rt, K, cfg, consts)
-    loss.backward()
-    g_twist = xiv.grad.copy() if xiv.grad is not None else np.zeros(6 * n)
-    g_depth = None
-    if dvar is not None:
-        g_depth = dvar.grad.copy() if dvar.grad is not None else np.zeros_like(dvar.value)
-    return float(loss.value), g_twist, g_depth, diag
+    def reverse(g):
+        d_poses, d_depth = vjp(g, depth_log is not None)
+        grads = [d for rt in d_poses for d in rt]
+        if depth_log is not None:
+            grads.append(d_depth * depths[1])      # through exp()
+        return grads
+
+    ad.Var(loss, tuple(leaves), reverse).backward()
+    g_twist = np.concatenate([
+        se3_exp_vjp(twists[6 * j:6 * j + 6], leaves[2 * j].grad, leaves[2 * j + 1].grad)
+        for j in range(len(poses_rt))])
+    g_depth = None if depth_log is None else leaves[-1].grad
+    return float(loss), g_twist, g_depth, diag
+
+
+def _forward(frames, depths, twists, K, cfg, depth_log=None, consts=None):
+    _check_consts(consts, depth_log)
+    poses_rt, depths = _poses_and_depths(depths, np.asarray(twists, dtype=np.float64),
+                                         cfg, depth_log)
+    return total_loss_generic(frames, depths, poses_rt, K, cfg, consts)
 
 
 def _loss_only(frames, depths, twists, K, cfg, depth_log=None, consts=None):
-    _check_consts(consts, depth_log)
-    n = _n_twists(cfg)
-    twists = np.asarray(twists, dtype=np.float64)
-    poses_rt = [se3_exp_entries(twists[6 * j:6 * j + 6]) for j in range(n)]
-    depths = list(depths)
-    if depth_log is not None:
-        depths[-1 if cfg.scheme == SCHEME_2F else 1] = np.exp(depth_log)
-    loss, _ = total_loss_generic(frames, depths, poses_rt, K, cfg, consts)
-    return float(loss)
+    return float(_forward(frames, depths, twists, K, cfg, depth_log, consts)[0])
 
 
 def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
@@ -205,6 +221,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         twist=theta[:6], converged=converged, final_loss=loss, iterations=iters,
         twist2=theta[6:12] if n == 2 else None,
         depth=None if dlog is None else np.exp(dlog),
+        diagnostics=_forward(frames, depths, theta, K, cfg, dlog, consts)[1],
     )
 
 

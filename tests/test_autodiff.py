@@ -1,9 +1,9 @@
-"""Finite-difference checks for every autodiff primitive."""
+"""Finite-difference checks for every op of the tests' tape oracle."""
 
 import numpy as np
 import pytest
 
-from selfvio import autodiff as ad
+import tape_oracle as ad
 
 
 def fd_scalar(f, x, eps=1e-6):

@@ -91,6 +91,26 @@ def test_estimate_eval_roundtrip(tmp_path):
     assert len(rows) == 2
 
 
+def test_estimate_diagnostics_sum_to_final_loss(tmp_path):
+    """diagnostics.csv carries each pair's loss components at the returned
+    twist, and they add up to its final loss."""
+    cfg = _write(os.path.join(tmp_path, "g.cfg"), GEN_SMALL)
+    ds, est = os.path.join(tmp_path, "ds"), os.path.join(tmp_path, "est")
+    assert main(["generate", "--config", cfg, "--out", ds]) == 0
+    ecfg = _write(os.path.join(tmp_path, "e.cfg"), "max_pairs=3\nmax_iters=10\n")
+    assert main(["estimate", "--dataset", ds, "--out", est, "--scheme", "3f",
+                 "--config", ecfg]) == 0
+    lines = open(os.path.join(est, "diagnostics.csv")).read().splitlines()
+    assert lines[0] == ("pair,converged,iterations,final_loss,photometric,depth,"
+                        "smoothness,valid_photo,valid_depth")
+    assert len(lines) == 4
+    for line in lines[1:]:
+        cells = line.split(",")
+        final, photo, depth, smooth = (float(x) for x in cells[3:7])
+        assert abs(photo + 0.15 * depth + 0.001 * smooth - final) <= 1e-12
+        assert 0 < int(cells[8]) <= int(cells[7]) <= 48 * 36
+
+
 def test_eval_identical_est_gt_zero(tmp_path):
     t = np.arange(10) * 0.1
     pos = np.random.default_rng(0).normal(size=(10, 3))

@@ -7,13 +7,14 @@ import pytest
 
 from conftest import small_intrinsics, smooth_image
 
-from selfvio import autodiff as ad
+import tape_oracle as ad
 from selfvio.geometry import (CameraIntrinsics, ContractViolation, SE3Pose,
-                              _exp_coeffs, inverse_warp, invert_entries,
-                              pose_entries, project, project_grid, quat_conj,
-                              quat_from_axis_angle, quat_mul, quat_to_matrix,
-                              quat_to_rotvec, rotvec_to_matrix, se3_exp,
-                              se3_exp_entries, se3_log, warp_depth)
+                              _exp_coeffs, inverse_warp, pose_entries, project,
+                              quat_conj, quat_from_axis_angle, quat_mul,
+                              quat_to_matrix, quat_to_rotvec, rotvec_to_matrix,
+                              se3_exp, se3_log, warp_depth)
+# the Var forms, on the tape oracle
+from tape_oracle import invert_entries, project_grid, se3_exp_entries
 
 
 def brute_force_mask(depth_t, K, pose):

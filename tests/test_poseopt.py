@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import tape_oracle
 from conftest import forward_gate_instance, small_intrinsics, smooth_image
 
-from selfvio.geometry import ContractViolation, SE3Pose, se3_exp, se3_log
+from selfvio import autodiff as ad
+from selfvio.geometry import (ContractViolation, SE3Pose, invert_entries, se3_exp,
+                              se3_exp_entries, se3_log, warp_grid)
 from selfvio.losses import (SCHEME_2F, SCHEME_BENCHMARK, SCHEMES, LossConfig,
                             pair_constants)
 from selfvio.poseopt import (DEPTH_MODES, OptimizerConfig, _loss_only, estimate_pose,
@@ -239,3 +242,68 @@ def test_pair_constants_are_the_inline_terms(scheme, depth_mode):
         # a fixed smoothness term cannot serve an optimized depth
         with pytest.raises(ContractViolation):
             _loss_only(imgs, deps, twists, K, cfg, dlog, pair_constants(imgs, cfg, deps))
+
+
+def _gate_case(scheme, depth_mode, behind=False):
+    """A forward gate pair or triplet at 32x24 with pixels that leave the
+    image; with `behind`, a backward cur->prev translation that puts the
+    near pixels behind the camera."""
+    K = small_intrinsics(32, 24, f=30.0)
+    _, _, frames, xi1, xi2 = forward_gate_instance(5, K)
+    n = 1 if scheme == SCHEME_2F else 2
+    imgs = [f.image for f in frames[:n + 1]]
+    deps = [f.depth for f in frames[:n + 1]]
+    if behind:
+        xi1 = np.array([0.1, -0.05, -1.0 - np.min(deps[1]), 0.02, -0.03, 0.01])
+    twists = 0.9 * (xi1 if n == 1 else np.concatenate([xi1, xi2]))
+    dlog = None
+    if depth_mode == "optimize":
+        dlog = np.log(deps[1]) + 0.01 * np.random.default_rng(1).standard_normal(deps[1].shape)
+    return K, imgs, deps, twists, dlog
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.85, 1.0])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+@pytest.mark.parametrize("behind", [False, True])
+def test_pose_loss_vjp_equals_tape(scheme, depth_mode, alpha, behind):
+    """The closed-form reverse gives the twist and depth gradients of the
+    fine-grained tape (tests/tape_oracle.py) to 1e-12 relative, and the
+    loss bitwise, with and without the pair constants."""
+    K, imgs, deps, twists, dlog = _gate_case(scheme, depth_mode, behind)
+    R, t = se3_exp_entries(twists[:6])
+    grids = [warp_grid(deps[1], K, R, t)]
+    grids.append(warp_grid(deps[0], K, *invert_entries(R, t)) if scheme == SCHEME_2F
+                 else warp_grid(deps[1], K, *se3_exp_entries(twists[6:])))
+    assert not all(g.stencil.in_bounds.all() for g in grids)
+    assert all(g.front.all() for g in grids) != behind
+    cfg = LossConfig(scheme=scheme, alpha=alpha)
+    for consts in (None, pair_constants(imgs, cfg, deps if dlog is None else None)):
+        loss, g_t, g_d, diag = loss_and_grad(imgs, deps, twists, K, cfg, dlog, consts)
+        want, want_t, want_d, want_diag = tape_oracle.loss_and_grad(
+            imgs, deps, twists, K, cfg, dlog, consts)
+        assert loss == want == _loss_only(imgs, deps, twists, K, cfg, dlog, consts)
+        assert diag == want_diag
+        assert np.max(np.abs(g_t - want_t)) <= 1e-12 * np.max(np.abs(want_t))
+        if dlog is None:
+            assert g_d is None
+        else:
+            assert np.max(np.abs(g_d - want_d)) <= 1e-12 * np.max(np.abs(want_d))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+def test_loss_and_grad_is_one_loss_node(monkeypatch, scheme, depth_mode):
+    """One evaluation's tape is the loss node and its (R, t) and depth-log
+    leaves, at most 6 Vars, and Var.backward runs once."""
+    K, imgs, deps, twists, dlog = _gate_case(scheme, depth_mode)
+    sizes = []
+    backward = ad.Var.backward
+
+    def counted(self, seed=None):
+        sizes.append(len(ad._topo_order(self)))
+        return backward(self, seed)
+
+    monkeypatch.setattr(ad.Var, "backward", counted)
+    loss_and_grad(imgs, deps, twists, K, LossConfig(scheme=scheme), dlog)
+    assert len(sizes) == 1 and sizes[0] <= 6, sizes
