@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import os
 import sys
@@ -27,6 +28,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# glibc mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
 
 
 class ConfigError(ValueError):
@@ -224,10 +229,10 @@ def cmd_estimate(args):
                                                       smoothness=np.nan)
         diags.append(f"{k},{est.converged},{est.iterations},{_f(est.final_loss)},"
                      f"{_f(d.photometric)},{_f(d.depth)},{_f(d.smoothness)},"
-                     f"{d.valid_photo},{d.valid_depth}")
+                     f"{d.valid_photo},{d.valid_depth},{est.backtracks},{int(est.warm_start)}")
     _write_text(os.path.join(args.out, "diagnostics.csv"),
                 "pair,converged,iterations,final_loss,photometric,depth,smoothness,"
-                "valid_photo,valid_depth\n" + "\n".join(diags) + "\n")
+                "valid_photo,valid_depth,backtracks,warm_start\n" + "\n".join(diags) + "\n")
 
     _echo_config(args.out, "estimate.echo.cfg", cfg)
     print(f"estimated {len(estimates)} pairs ({cfg['scheme']}) -> {args.out}")
@@ -529,7 +534,21 @@ def build_parser():
     return p
 
 
+def _keep_freed_arrays_in_heap():
+    """Raise glibc's mmap and trim thresholds, so that the 100 KB-1 MB
+    arrays a loss evaluation frees stay in the heap for the next one
+    instead of going back to the OS and faulting in again. Allocation does
+    not change arithmetic. Without glibc's mallopt this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(M_MMAP_THRESHOLD, 4 << 20)
+
+
 def main(argv=None):
+    _keep_freed_arrays_in_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -10,11 +10,22 @@ whose parents are the (R, t) of each pose and, when the target depth is
 optimized, its log; `se3_exp_vjp` then carries (dR, dt) back to the twist.
 Plain gradient descent with backtracking (Armijo) line search:
 deterministic, loss non-increasing across accepted steps.
+
+Every twist the loop visits is evaluated once. A line-search candidate's
+forward keeps what its reverse needs (`_loss_only` with `keep`); when the
+candidate is accepted, `loss_and_grad` runs only that kept reverse, and
+the returned estimate's diagnostics are those of its best point's own
+evaluation. At most one kept forward is alive at a time: a rejected
+candidate's is dropped before the next candidate runs. The arrays it
+frees go back to the heap, not to the OS, once `cli.main` has raised
+glibc's mmap and trim thresholds, so the next evaluation reuses them
+without faulting its pages in again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +73,8 @@ class PoseEstimate:
     twist2: np.ndarray | None = None   # cur -> next (triplet schemes)
     depth: np.ndarray | None = None    # refined target depth (optimize mode)
     diagnostics: LossDiagnostics | None = None   # loss components at the returned twist
+    backtracks: int = 0            # rejected line-search candidates
+    warm_start: bool = False       # started from the previous pair's twist (run_sequence)
 
     def pose(self) -> SE3Pose:
         return se3_exp(self.twist)
@@ -87,19 +100,42 @@ def _poses_and_depths(depths, twists, cfg, depth_log):
     return poses_rt, depths
 
 
-def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, consts=None):
+class _Evaluation(NamedTuple):
+    """One forward: its loss and diagnostics, its reverse (None unless the
+    forward was kept), and the (R, t) and depths it ran on."""
+    loss: float
+    diag: LossDiagnostics
+    vjp: object
+    poses_rt: list
+    depths: list
+
+
+def _evaluate(frames, depths, twists, K, cfg, depth_log, consts, with_vjp):
+    """The forward at the twists, with depths' target entry replaced by
+    exp(depth_log) when that is given."""
+    _check_consts(consts, depth_log)
+    poses_rt, depths = _poses_and_depths(depths, np.asarray(twists, dtype=np.float64),
+                                         cfg, depth_log)
+    out = total_loss_generic(frames, depths, poses_rt, K, cfg, consts, with_vjp)
+    return _Evaluation(out[0], out[1], out[2] if with_vjp else None, poses_rt, depths)
+
+
+def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, consts=None,
+                  kept=None):
     """Total loss, its twist gradient, and optionally the gradient with
     respect to log target depth.
 
     twists: (6*n,) stacked twist vector. depth_log: (H,W) log of the
     target-frame depth; when given, it replaces the target entry of
     `depths` through exp(). consts: the pair's `pair_constants`, when the
-    caller evaluates the pair repeatedly.
+    caller evaluates the pair repeatedly. kept: the evaluation that
+    `_loss_only(..., keep)` kept at these twists and depth_log; its reverse
+    runs in place of a new forward.
     """
-    _check_consts(consts, depth_log)
     twists = np.asarray(twists, dtype=np.float64)
-    poses_rt, depths = _poses_and_depths(depths, twists, cfg, depth_log)
-    loss, diag, vjp = total_loss_generic(frames, depths, poses_rt, K, cfg, consts, True)
+    if kept is None:
+        kept = _evaluate(frames, depths, twists, K, cfg, depth_log, consts, True)
+    loss, diag, vjp, poses_rt, depths = kept
 
     # one loss node over the (R, t) leaves of each pose and the depth log
     leaves = [ad.Var(x) for rt in poses_rt for x in rt]
@@ -121,22 +157,22 @@ def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, co
     return float(loss), g_twist, g_depth, diag
 
 
-def _forward(frames, depths, twists, K, cfg, depth_log=None, consts=None):
-    _check_consts(consts, depth_log)
-    poses_rt, depths = _poses_and_depths(depths, np.asarray(twists, dtype=np.float64),
-                                         cfg, depth_log)
-    return total_loss_generic(frames, depths, poses_rt, K, cfg, consts)
-
-
-def _loss_only(frames, depths, twists, K, cfg, depth_log=None, consts=None):
-    return float(_forward(frames, depths, twists, K, cfg, depth_log, consts)[0])
+def _loss_only(frames, depths, twists, K, cfg, depth_log=None, consts=None, keep=None):
+    """The total loss at the twists, as a float. keep: a list that receives
+    the evaluation with its forward kept, for `loss_and_grad(..., kept)`."""
+    ev = _evaluate(frames, depths, twists, K, cfg, depth_log, consts, keep is not None)
+    if keep is not None:
+        keep.append(ev)
+    return float(ev.loss)
 
 
 def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
-                  cfg: LossConfig) -> PoseEstimate:
+                  cfg: LossConfig, consts=None) -> PoseEstimate:
     """Gradient descent on the scheme's total loss over the pose twist(s)
     (and log target depth in 'optimize' mode). Deterministic; returns the
-    best-so-far iterate.
+    best-so-far iterate. consts: the pair's `pair_constants` (with the
+    depths in 'gt-scaled' mode, without them in 'optimize' mode), when the
+    caller has built them already.
 
     Steps are taken in a fixed diagonal metric that equalizes the pixel
     displacement caused by unit translation (~fx/depth) and unit rotation
@@ -151,7 +187,8 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         raise ContractViolation(f"init twist must be a finite ({6 * n},) vector")
     dlog = np.log(depths[-1 if cfg.scheme == SCHEME_2F else 1]) \
         if opt.depth_mode == "optimize" else None
-    consts = pair_constants(frames, cfg, None if dlog is not None else depths)
+    if consts is None:
+        consts = pair_constants(frames, cfg, None if dlog is not None else depths)
 
     z_bar = float(np.mean(depths[-1 if cfg.scheme == SCHEME_2F else 1]))
     f_bar = 0.5 * (K.fx + K.fy)
@@ -170,12 +207,12 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         return flow
 
     trace = []
-    loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
+    loss, g_t, g_d, diag = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
     if not np.isfinite(loss):
         raise OptimizationDiverged("initial loss is not finite", trace)
-    best = (loss, theta.copy(), None if dlog is None else dlog.copy())
+    best = (loss, theta.copy(), None if dlog is None else dlog.copy(), diag)
     step_px = opt.step_size
-    iters = 0
+    iters = backtracks = 0
     converged = False
     for iters in range(1, opt.max_iters + 1):
         d_t = precond * g_t
@@ -192,8 +229,9 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         for _ in range(MAX_BACKTRACKS):
             cand_t = theta - (s / unit) * d_t
             cand_d = None if dlog is None else dlog - (s / unit) * d_d
+            kept = []      # drops the previous candidate's forward before this one
             try:
-                cand_loss = _loss_only(frames, depths, cand_t, K, cfg, cand_d, consts)
+                cand_loss = _loss_only(frames, depths, cand_t, K, cfg, cand_d, consts, kept)
             except DegenerateBatchError:
                 cand_loss = np.inf     # candidate left no valid pixels
             if np.isnan(cand_loss):
@@ -202,6 +240,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
                 accepted = True
                 break
             s *= 0.5
+            backtracks += 1
         if not accepted:
             converged = True
             break
@@ -210,18 +249,20 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         step_px = min(s * STEP_GROW, STEP_MAX)
         trace.append(loss)
         if loss < best[0]:
-            best = (loss, theta.copy(), None if dlog is None else dlog.copy())
+            best = (loss, theta.copy(), None if dlog is None else dlog.copy(), kept[0].diag)
         if decrease < opt.tol:
             converged = True
             break
-        loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
+        # the accepted candidate's kept forward: only its reverse runs
+        loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts,
+                                          kept.pop())
 
-    loss, theta, dlog = best
+    loss, theta, dlog, diag = best
     return PoseEstimate(
         twist=theta[:6], converged=converged, final_loss=loss, iterations=iters,
         twist2=theta[6:12] if n == 2 else None,
         depth=None if dlog is None else np.exp(dlog),
-        diagnostics=_forward(frames, depths, theta, K, cfg, dlog, consts)[1],
+        diagnostics=diag, backtracks=backtracks,
     )
 
 
@@ -233,12 +274,15 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
     For the 2f scheme, pair i covers frames (i-1, i); the triplet schemes
     estimate over (i-1, i, i+1) and report the cur->prev transform, so
     the final pair is dropped. Failed pairs are marked not-converged and
-    keep their warm-start twist.
+    keep their warm-start twist. Each pair's `pair_constants` are built
+    once and serve its warm-start check and its estimates.
     """
     m = len(frames)
     if m < 2:
         raise ContractViolation("need at least two frames")
     n = _n_twists(cfg)
+    frames = [np.asarray(f, dtype=np.float64) for f in frames]
+    depths = [np.asarray(d, dtype=np.float64) for d in depths]
     last = m if n == 1 else m - 1
 
     estimates = []
@@ -253,24 +297,26 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
         else:
             fr = [frames[i - 1], frames[i], frames[i + 1]]
             dp = [depths[i - 1], depths[i], depths[i + 1]]
+        consts = pair_constants(fr, cfg, None if opt.depth_mode == "optimize" else dp)
         # a poisoned warm start locks the whole chain into a bad basin:
         # seed from whichever of {previous twist, zero} scores lower
         if np.any(warm):
             try:
-                l_warm = _loss_only(fr, dp, warm, K, cfg)
+                l_warm = _loss_only(fr, dp, warm, K, cfg, consts=consts)
             except DegenerateBatchError:
                 l_warm = np.inf
             try:
-                l_zero = _loss_only(fr, dp, np.zeros_like(warm), K, cfg)
+                l_zero = _loss_only(fr, dp, np.zeros_like(warm), K, cfg, consts=consts)
             except DegenerateBatchError:
                 l_zero = np.inf
             if l_zero < l_warm:
                 warm = np.zeros_like(warm)
         try:
-            est = estimate_pose(fr, dp, warm, K, opt, cfg)
+            est = estimate_pose(fr, dp, warm, K, opt, cfg, consts)
+            est.warm_start = bool(np.any(warm))
         except (OptimizationDiverged, DegenerateBatchError):
             try:
-                est = estimate_pose(fr, dp, None, K, opt, cfg)
+                est = estimate_pose(fr, dp, None, K, opt, cfg, consts)
             except (OptimizationDiverged, DegenerateBatchError):
                 est = PoseEstimate(twist=warm[:6].copy(), converged=False,
                                    final_loss=np.nan, iterations=0,

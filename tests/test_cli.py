@@ -102,13 +102,16 @@ def test_estimate_diagnostics_sum_to_final_loss(tmp_path):
                  "--config", ecfg]) == 0
     lines = open(os.path.join(est, "diagnostics.csv")).read().splitlines()
     assert lines[0] == ("pair,converged,iterations,final_loss,photometric,depth,"
-                        "smoothness,valid_photo,valid_depth")
+                        "smoothness,valid_photo,valid_depth,backtracks,warm_start")
     assert len(lines) == 4
-    for line in lines[1:]:
+    for k, line in enumerate(lines[1:]):
         cells = line.split(",")
         final, photo, depth, smooth = (float(x) for x in cells[3:7])
         assert abs(photo + 0.15 * depth + 0.001 * smooth - final) <= 1e-12
         assert 0 < int(cells[8]) <= int(cells[7]) <= 48 * 36
+        assert 0 <= int(cells[9]) <= 25 * int(cells[2])
+        # the first pair has no previous twist to start from
+        assert cells[10] in ("0", "1") and (k > 0 or cells[10] == "0")
 
 
 def test_eval_identical_est_gt_zero(tmp_path):
@@ -503,3 +506,26 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_keeps_freed_arrays_in_heap():
+    """With the heap setting that `main` makes first, 1 MB arrays allocated
+    and freed a few hundred times reuse the same pages: glibc's default
+    trims the freed heap each time and faults ~200k pages back in."""
+    pytest.importorskip("resource")
+    import ctypes
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        pytest.skip("no glibc mallopt")
+    code = ("import resource, numpy as np, selfvio.cli; "
+            "selfvio.cli._keep_freed_arrays_in_heap(); "
+            "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(200):\n"
+            "    a = [np.ones(1 << 17) for _ in range(4)]\n"
+            "    del a\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - r0)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selfvio.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) < 2000

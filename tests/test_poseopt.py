@@ -7,6 +7,7 @@ import tape_oracle
 from conftest import forward_gate_instance, small_intrinsics, smooth_image
 
 from selfvio import autodiff as ad
+from selfvio import poseopt
 from selfvio.geometry import (ContractViolation, SE3Pose, invert_entries, se3_exp,
                               se3_exp_entries, se3_log, warp_grid)
 from selfvio.losses import (SCHEME_2F, SCHEME_BENCHMARK, SCHEMES, LossConfig,
@@ -307,3 +308,91 @@ def test_loss_and_grad_is_one_loss_node(monkeypatch, scheme, depth_mode):
     monkeypatch.setattr(ad.Var, "backward", counted)
     loss_and_grad(imgs, deps, twists, K, LossConfig(scheme=scheme), dlog)
     assert len(sizes) == 1 and sizes[0] <= 6, sizes
+
+
+def _reference_estimate_pose(frames, depths, init, K, opt, cfg):
+    """The descent loop with a new forward at every accepted point, for its
+    gradient and, at the best point, for the returned diagnostics."""
+    n = 1 if cfg.scheme == SCHEME_2F else 2
+    tgt = -1 if cfg.scheme == SCHEME_2F else 1
+    dlog = np.log(depths[tgt]) if opt.depth_mode == "optimize" else None
+    consts = pair_constants(frames, cfg, None if dlog is not None else depths)
+    z_bar, f_bar = float(np.mean(depths[tgt])), 0.5 * (K.fx + K.fy)
+    precond = np.tile(np.concatenate([np.full(3, z_bar ** 2), np.full(3, 1.0)]), n)
+
+    def flow_of(d_t, d_d):
+        flow = max(f_bar * (np.linalg.norm(d_t[6 * j + 3:6 * j + 6])
+                            + np.linalg.norm(d_t[6 * j:6 * j + 3]) / z_bar)
+                   for j in range(n))
+        return flow if d_d is None else max(flow, f_bar * float(np.abs(d_d).max()))
+
+    theta = np.asarray(init, dtype=np.float64).copy()
+    loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
+    best = (loss, theta.copy(), None if dlog is None else dlog.copy())
+    step_px, converged = opt.step_size, False
+    for iters in range(1, opt.max_iters + 1):
+        d_t, d_d = precond * g_t, g_d
+        unit = flow_of(d_t, d_d)
+        slope = float(g_t @ d_t) / unit
+        if d_d is not None:
+            slope += float((g_d * d_d).sum()) / unit
+        s = step_px
+        for _ in range(poseopt.MAX_BACKTRACKS):
+            cand_t = theta - (s / unit) * d_t
+            cand_d = None if dlog is None else dlog - (s / unit) * d_d
+            cand_loss = _loss_only(frames, depths, cand_t, K, cfg, cand_d, consts)
+            if cand_loss <= loss - 1e-4 * s * slope:
+                break
+            s *= 0.5
+        else:
+            converged = True
+            break
+        decrease = loss - cand_loss
+        theta, dlog, loss = cand_t, cand_d, cand_loss
+        step_px = min(s * poseopt.STEP_GROW, poseopt.STEP_MAX)
+        if loss < best[0]:
+            best = (loss, theta.copy(), None if dlog is None else dlog.copy())
+        if decrease < opt.tol:
+            converged = True
+            break
+        loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
+    loss, theta, dlog = best
+    poses_rt, deps = poseopt._poses_and_depths(depths, theta, cfg, dlog)
+    diag = poseopt.total_loss_generic(frames, deps, poses_rt, K, cfg, consts)[1]
+    return theta, dlog, iters, converged, loss, diag
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+def test_estimate_pose_evaluates_each_twist_once(monkeypatch, scheme, depth_mode):
+    """The loop that keeps each candidate's forward for its gradient and its
+    diagnostics returns bitwise the estimate of the loop that evaluates
+    accepted points again, with one forward per line-search candidate plus
+    the initial one."""
+    K, imgs, deps, twists, _ = _gate_case(scheme, depth_mode)
+    opt, cfg = OptimizerConfig(max_iters=12, depth_mode=depth_mode), LossConfig(scheme=scheme)
+    theta, dlog, iters, converged, loss, diag = _reference_estimate_pose(
+        imgs, deps, twists, K, opt, cfg)
+
+    calls = {"forward": 0, "loss_only": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(poseopt, "total_loss_generic",
+                        counted("forward", poseopt.total_loss_generic))
+    monkeypatch.setattr(poseopt, "_loss_only", counted("loss_only", poseopt._loss_only))
+    est = estimate_pose(imgs, deps, twists, K, opt, cfg)
+
+    assert np.array_equal(est.twist, theta[:6])
+    if scheme != SCHEME_2F:
+        assert np.array_equal(est.twist2, theta[6:])
+    if dlog is not None:
+        assert np.array_equal(est.depth, np.exp(dlog))
+    assert (est.iterations, est.converged, est.final_loss) == (iters, converged, loss)
+    assert est.diagnostics == diag
+    assert est.iterations > 1 and est.backtracks > 0
+    assert calls["forward"] == calls["loss_only"] + 1
