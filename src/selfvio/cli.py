@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import itertools
+import math
 import os
 import sys
 
@@ -72,17 +74,29 @@ def _coerce(defaults, raw):
                 cfg[k] = type(d)(v)
             except ValueError:
                 raise ConfigError(f"{k} must be {type(d).__name__}, got {v!r}") from None
+            if not math.isfinite(cfg[k]):
+                raise ConfigError(f"{k} must be finite, got {v!r}")
         else:
             cfg[k] = v
     return cfg
 
 
 def _float_list(cfg, k):
-    """A comma-separated list of floats from the config."""
+    """A comma-separated list of finite floats from the config."""
     try:
-        return [float(x) for x in cfg[k].split(",")]
+        out = [float(x) for x in cfg[k].split(",")]
+        if all(map(math.isfinite, out)):
+            return out
     except ValueError:
-        raise ConfigError(f"{k} must be comma-separated numbers, got {cfg[k]!r}") from None
+        pass
+    raise ConfigError(f"{k} must be comma-separated finite numbers, got {cfg[k]!r}")
+
+
+def _build(cls, cfg, **given):
+    """A `cls` dataclass from the config values keyed by its field names,
+    plus the `given` fields that have no config key."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in cfg.items() if k in names}, **given)
 
 
 def _echo_config(outdir, name, cfg):
@@ -90,15 +104,6 @@ def _echo_config(outdir, name, cfg):
     lines = [f"{k}={cfg[k]}" for k in sorted(cfg)]
     with open(os.path.join(outdir, name), "w", encoding="ascii", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _f(x):
-    return repr(float(x))
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -143,16 +148,9 @@ def _scene_for(traj: synth.TrajectorySpec, texture_seed):
 def cmd_generate(args):
     cfg = _coerce(GEN_DEFAULTS, _parse_config(args.config, GEN_DEFAULTS))
     outdir = args.out
-    traj = synth.TrajectorySpec(
-        kind=cfg["kind"], period=cfg["period"], peak_speed=cfg["peak_speed"],
-        duration=cfg["duration"], cam_hz=cfg["cam_hz"], imu_hz=cfg["imu_hz"],
-        start_hover=cfg["start_hover"], ramp=cfg["ramp"], climb=cfg["climb"],
-        z_amplitude=cfg["z_amplitude"], yaw_mode=cfg["yaw_mode"], yaw0=cfg["yaw0"])
-    dyn = synth.RefDynamicsParams(kx=cfg["kx"], ky=cfg["ky"],
-                                  accel_z_bias=cfg["accel_bias_z"])
-    noise = synth.NoiseSpec(seed=cfg["seed"], gyro_std=cfg["gyro_std"],
-                            accel_std=cfg["accel_std"])
-    sim = synth.simulate_imu_motors(traj, dyn, noise)
+    traj = _build(synth.TrajectorySpec, cfg)
+    dyn = _build(synth.RefDynamicsParams, cfg, accel_z_bias=cfg["accel_bias_z"])
+    sim = synth.simulate_imu_motors(traj, dyn, _build(synth.NoiseSpec, cfg))
     scene = _scene_for(traj, cfg["texture_seed"])
     K = CameraIntrinsics(fx=cfg["fx"], fy=cfg["fy"],
                          cx=(cfg["width"] - 1) / 2.0, cy=(cfg["height"] - 1) / 2.0,
@@ -191,6 +189,10 @@ def cmd_estimate(args):
     cfg = _coerce(EST_DEFAULTS, _parse_config(args.config, EST_DEFAULTS))
     if args.scheme:
         cfg["scheme"] = args.scheme
+    if cfg["depth_scale_factor"] <= 0:
+        raise ConfigError("depth_scale_factor must be positive")
+    lcfg = _build(losses.LossConfig, cfg)
+    ocfg = _build(poseopt.OptimizerConfig, cfg)
     ds = dataio.load_sequence(args.dataset)
     K = ds.manifest.intrinsics
     stride = max(1, cfg["stride"])
@@ -202,37 +204,24 @@ def cmd_estimate(args):
     frames = [ds.load_image(i) for i in idx]
     depths = [ds.load_depth(i) * cfg["depth_scale_factor"] for i in idx]
     times = [float(ds.frames.t[i]) for i in idx]
-
-    lcfg = losses.LossConfig(alpha=cfg["alpha"], lambda1=cfg["lambda1"],
-                             lambda2=cfg["lambda2"], scheme=cfg["scheme"],
-                             ssim_window=cfg["ssim_window"])
-    ocfg = poseopt.OptimizerConfig(max_iters=cfg["max_iters"],
-                                   step_size=cfg["step_size"], tol=cfg["tol"],
-                                   depth_mode=cfg["depth_mode"])
     estimates, traj, cam_vel = poseopt.run_sequence(frames, depths, times, K, ocfg, lcfg)
 
     os.makedirs(args.out, exist_ok=True)
-    rows = ["t,px,py,pz"]
-    for t, p in zip(traj.t, traj.pos):
-        rows.append(f"{_f(t)},{_f(p[0])},{_f(p[1])},{_f(p[2])}")
-    _write_text(os.path.join(args.out, "trajectory.csv"), "\n".join(rows) + "\n")
-
-    rows = ["t,vcx,vcy,vcz"]
-    for k, v in enumerate(cam_vel):
-        rows.append(f"{_f(traj.t[k + 1])},{_f(v[0])},{_f(v[1])},{_f(v[2])}")
-    _write_text(os.path.join(args.out, "velocities.csv"), "\n".join(rows) + "\n")
-
+    dataio.write_csv(os.path.join(args.out, "trajectory.csv"), "t,px,py,pz",
+                     np.column_stack([traj.t, traj.pos]))
+    dataio.write_csv(os.path.join(args.out, "velocities.csv"), "t,vcx,vcy,vcz",
+                     np.column_stack([traj.t[1:], cam_vel]))
     diags = []
     for k, est in enumerate(estimates):
         # a failed pair has no loss: its components read nan, its counts 0
         d = est.diagnostics or losses.LossDiagnostics(photometric=np.nan, depth=np.nan,
                                                       smoothness=np.nan)
-        diags.append(f"{k},{est.converged},{est.iterations},{_f(est.final_loss)},"
-                     f"{_f(d.photometric)},{_f(d.depth)},{_f(d.smoothness)},"
-                     f"{d.valid_photo},{d.valid_depth},{est.backtracks},{int(est.warm_start)}")
-    _write_text(os.path.join(args.out, "diagnostics.csv"),
-                "pair,converged,iterations,final_loss,photometric,depth,smoothness,"
-                "valid_photo,valid_depth,backtracks,warm_start\n" + "\n".join(diags) + "\n")
+        diags.append((k, est.converged, est.iterations, est.final_loss, d.photometric,
+                      d.depth, d.smoothness, d.valid_photo, d.valid_depth,
+                      est.backtracks, int(est.warm_start)))
+    dataio.write_csv(os.path.join(args.out, "diagnostics.csv"),
+                     "pair,converged,iterations,final_loss,photometric,depth,smoothness,"
+                     "valid_photo,valid_depth,backtracks,warm_start", diags)
 
     _echo_config(args.out, "estimate.echo.cfg", cfg)
     print(f"estimated {len(estimates)} pairs ({cfg['scheme']}) -> {args.out}")
@@ -247,12 +236,6 @@ TRAIN_DEFAULTS = {
     "window_min": 0.25, "window_max": 5.0, "cutoff_hz": 5.0,
     "seed": 0, "init_scale": 1.0, "attitude": "ekf",
 }
-
-
-def _read_velocities(path, header):
-    arr = dataio._read_floats(path, header)
-    dataio._check_monotone(arr[:, 0], path)
-    return arr[:, 0], arr[:, 1:4]
 
 
 def _rpm_at_imu(ds: dataio.DatasetBundle):
@@ -288,21 +271,25 @@ def _load_model(path):
         raise dataio.FormatError(f"cannot read model file {path}: {e!r}") from None
 
 
-def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, seq_id=None,
-                           attitude="ekf"):
-    cam_t, v_cam = _read_velocities(vel_path, "t,vcx,vcy,vcz")
-    if attitude == "groundtruth":
+def _attitude(ds: dataio.DatasetBundle, mode):
+    """R_wb (N, 3, 3) and gravity in the body frame (N, 3) at the IMU times,
+    from the attitude filter ('ekf') or from ground truth ('groundtruth')."""
+    if mode == "groundtruth":
         R_wb, _ = _groundtruth_at(ds, ds.imu.t)
-        g_b = np.einsum("nij,j->ni", R_wb.transpose(0, 2, 1), synth.G_WORLD)
-    elif attitude == "ekf":
-        att = AttitudeFilter()
-        quats, g_b = att.run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
-    else:
-        raise ConfigError("attitude must be 'ekf' or 'groundtruth'")
+        return R_wb, np.einsum("nij,j->ni", R_wb.transpose(0, 2, 1), synth.G_WORLD)
+    if mode == "ekf":
+        quats, g_b = AttitudeFilter().run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
+        return quat_to_matrix(quat_conj(quats)), g_b    # R_bw^T, bit for bit
+    raise ConfigError("attitude must be 'ekf' or 'groundtruth'")
+
+
+def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, attitude):
+    vel = dataio.read_series(vel_path, "t,vcx,vcy,vcz")
+    _, g_b = _attitude(ds, attitude)
     return dronemodel.TrainSequence(
-        seq_id=seq_id or ds.manifest.sequence_id,
+        seq_id=ds.manifest.sequence_id,
         t=ds.imu.t, gyro=ds.imu.gyro, accel=ds.imu.accel, rpm=_rpm_at_imu(ds),
-        g_body=g_b, cam_t=cam_t, v_cam=v_cam, R_cb=ds.manifest.R_cb)
+        g_body=g_b, cam_t=vel[:, 0], v_cam=vel[:, 1:4], R_cb=ds.manifest.R_cb)
 
 
 def cmd_train_model(args):
@@ -314,16 +301,11 @@ def cmd_train_model(args):
         root, vel = spec.rsplit(":", 1)
         seqs.append(_sequence_from_dataset(dataio.load_sequence(root), vel,
                                            attitude=cfg["attitude"]))
-    tc = dronemodel.TrainConfig(
-        steps=cfg["steps"], batch=cfg["batch"], lr=cfg["lr"],
-        lr_final=cfg["lr_final"], window_min=cfg["window_min"],
-        window_max=cfg["window_max"], cutoff_hz=cfg["cutoff_hz"],
-        seed=cfg["seed"], init_scale=cfg["init_scale"])
-    params, history = dronemodel.train(seqs, tc)
+    params, history = dronemodel.train(seqs, _build(dronemodel.TrainConfig, cfg))
     os.makedirs(args.out, exist_ok=True)
     dronemodel.save_params(os.path.join(args.out, "model.json"), params)
-    _write_text(os.path.join(args.out, "history.csv"),
-                "step,loss\n" + "\n".join(f"{i},{_f(l)}" for i, l in enumerate(history)) + "\n")
+    dataio.write_csv(os.path.join(args.out, "history.csv"), "step,loss",
+                     enumerate(history))
     _echo_config(args.out, "train-model.echo.cfg", cfg)
     scales = ", ".join(f"{k}={v:.4f}" for k, v in sorted(params.scales.items()))
     print(f"trained {cfg['steps']} steps; scales: {scales} -> {args.out}")
@@ -347,10 +329,8 @@ def cmd_rollout(args):
     prep = dronemodel.prepare_sequence(seq, cfg["cutoff_hz"])
     ro = dronemodel.rollout(params, prep, np.zeros(3))
     os.makedirs(args.out, exist_ok=True)
-    rows = ["t,vx,vy,vz"]
-    for t, v in zip(ro.t, ro.vel):
-        rows.append(f"{_f(t)},{_f(v[0])},{_f(v[1])},{_f(v[2])}")
-    _write_text(os.path.join(args.out, "rollout.csv"), "\n".join(rows) + "\n")
+    dataio.write_csv(os.path.join(args.out, "rollout.csv"), "t,vx,vy,vz",
+                     np.column_stack([ro.t, ro.vel]))
     _echo_config(args.out, "rollout.echo.cfg", cfg)
     print(f"rolled out {len(ro.t)} samples -> {args.out}")
     return EXIT_OK
@@ -368,17 +348,15 @@ FUSE_DEFAULTS = {
 
 def cmd_fuse(args):
     cfg = _coerce(FUSE_DEFAULTS, _parse_config(args.config, FUSE_DEFAULTS))
+    weights = _float_list(cfg, "weights")
+    rates = _float_list(cfg, "rates")
+    if cfg["seeds"] < 0:
+        raise ConfigError("seeds must be nonnegative")
     ds = dataio.load_sequence(args.dataset)
     _, vel_b_true = _groundtruth_at(ds, ds.frames.t)
     model = _load_model(args.model) if args.model else None
     gt = ds.groundtruth
-    if cfg["attitude"] == "groundtruth":
-        R_wb, _ = _groundtruth_at(ds, ds.imu.t)
-    elif cfg["attitude"] == "ekf":
-        quats, _ = AttitudeFilter().run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
-        R_wb = quat_to_matrix(quat_conj(quats))     # R_bw^T, bit for bit
-    else:
-        raise ConfigError("attitude must be 'ekf' or 'groundtruth'")
+    R_wb, _ = _attitude(ds, cfg["attitude"])
 
     drops = []
     if cfg["dropout_period"] > 0 and cfg["dropout_len"] > 0:
@@ -387,8 +365,6 @@ def cmd_fuse(args):
             drops.append((t0, t0 + cfg["dropout_len"]))
             t0 += cfg["dropout_period"]
 
-    weights = _float_list(cfg, "weights")
-    rates = _float_list(cfg, "rates")
     gt_traj = evalign.TrajectoryEstimate(t=gt["t"][::5], pos=gt["pos"][::5])
     rpm = _rpm_at_imu(ds)
 
@@ -396,10 +372,8 @@ def cmd_fuse(args):
     pairs = list(itertools.product(weights, range(cfg["seeds"])))
     entries, last = [], None
     for rate in (rates if pairs else []):       # seeds=0: nothing to run
-        fc = fusion.FusionConfig(model_weight=np.array([w for w, _ in pairs]),
-                                 update_rate=rate,
-                                 vis_noise_std=cfg["vis_noise_std"],
-                                 accel_noise_std=cfg["accel_noise_std"])
+        fc = _build(fusion.FusionConfig, cfg, update_rate=rate,
+                    model_weight=np.array([w for w, _ in pairs]))
         vis_t, vis_v = fusion.make_visual_measurements(
             ds.frames.t, vel_b_true, fc, seed=[s for _, s in pairs],
             dropout_windows=drops)
@@ -413,14 +387,11 @@ def cmd_fuse(args):
         last = res
 
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "sweep.csv"), fusion.sweep_csv_rows(entries))
+    dataio.write_csv(os.path.join(args.out, "sweep.csv"),
+                     "rate_hz,model_weight,seed,rmse_m", entries)
     if last is not None:            # the last rate x weight x seed run
-        rows = ["t,px,py,pz,vbx,vby,vbz"]
-        for i in range(0, len(last.t), 5):
-            p, v = last.pos[-1, i], last.vel_body[-1, i]
-            rows.append(f"{_f(last.t[i])},{_f(p[0])},{_f(p[1])},{_f(p[2])},"
-                        f"{_f(v[0])},{_f(v[1])},{_f(v[2])}")
-        _write_text(os.path.join(args.out, "trajectory.csv"), "\n".join(rows) + "\n")
+        dataio.write_csv(os.path.join(args.out, "trajectory.csv"), "t,px,py,pz,vbx,vby,vbz",
+                         np.column_stack([last.t, last.pos[-1], last.vel_body[-1]])[::5])
     _echo_config(args.out, "fuse.echo.cfg", cfg)
     print(f"fusion sweep: {len(entries)} runs -> {args.out}")
     return EXIT_OK
@@ -433,8 +404,7 @@ EVAL_DEFAULTS = {"mode": "sim3", "bin_width": 1.0, "speed_floor": 0.5}
 
 
 def _read_trajectory_csv(path):
-    arr = dataio._read_floats(path, ("t", "px", "py", "pz"))
-    dataio._check_monotone(arr[:, 0], path)
+    arr = dataio.read_series(path, ("t", "px", "py", "pz"))
     return evalign.TrajectoryEstimate(t=arr[:, 0], pos=arr[:, 1:4])
 
 
@@ -453,18 +423,19 @@ def cmd_eval(args):
         gt = _read_trajectory_csv(args.gt)
     rmse = evalign.position_rmse(est, gt, mode=cfg["mode"])
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "rmse.csv"),
-                evalign.rmse_csv_rows([(os.path.basename(args.est), cfg["mode"], rmse)]))
+    dataio.write_csv(os.path.join(args.out, "rmse.csv"), "trajectory,mode,rmse_m",
+                     [(os.path.basename(args.est), cfg["mode"], rmse)])
     if args.vel_est:
         if not os.path.isdir(args.gt):
             raise ConfigError("--vel-est needs a dataset directory as --gt")
-        vt, vb = _read_velocities(args.vel_est, "t,vx,vy,vz")
-        _, vb_gt = _groundtruth_at(ds, vt)
-        bins = evalign.relative_velocity_error(vb, vb_gt,
+        vel = dataio.read_series(args.vel_est, "t,vx,vy,vz")
+        _, vb_gt = _groundtruth_at(ds, vel[:, 0])
+        bins = evalign.relative_velocity_error(vel[:, 1:4], vb_gt,
                                                bin_width=cfg["bin_width"],
                                                speed_floor=cfg["speed_floor"])
-        _write_text(os.path.join(args.out, "velocity_bins.csv"),
-                    evalign.velocity_bins_csv(bins))
+        cols = ("bin_low", "bin_high", "mean", "std", "count")
+        dataio.write_csv(os.path.join(args.out, "velocity_bins.csv"), ",".join(cols),
+                         [[b[c] for c in cols] for b in bins])
     _echo_config(args.out, "eval.echo.cfg", cfg)
     print(f"absolute position RMSE ({cfg['mode']}): {rmse:.6f} m -> {args.out}")
     return EXIT_OK

@@ -14,6 +14,10 @@ One directory per sequence:
 
 Timestamps are float64 seconds from sequence start; CSV headers are
 mandatory, floats are written with repr() so they round-trip exactly.
+
+This module is the one CSV reader and writer: the dataset's files above and
+every CSV the CLI verbs write go through `csv_text`, and their time series
+are read back through `read_series`.
 """
 
 from __future__ import annotations
@@ -94,11 +98,28 @@ def read_pgm16(path) -> np.ndarray:
 
 
 def _cell(x):
-    if isinstance(x, str):
-        return x
+    """One CSV cell: floats (np.float64 too) by repr(), so they round-trip
+    exactly; strings and bools as they are; integers as integers."""
+    if isinstance(x, float):            # the common cell first
+        return repr(float(x))
+    if isinstance(x, (str, bool)):      # bool before int: True, not 1
+        return str(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+def csv_text(header, rows):
+    """A headed CSV: the header line, then one line of `_cell`s per row.
+    rows is an iterable of rows, or a 2-D array, taken as Python scalars."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    return "\n".join([header] + [",".join(map(_cell, r)) for r in rows]) + "\n"
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(csv_text(header, rows))
 
 
 def _read_csv(path, expect_header):
@@ -150,6 +171,14 @@ def _check_monotone(t, stream):
     bad = np.nonzero(np.diff(t) <= 0)[0]
     if len(bad):
         raise NonMonotoneTimestampError(stream, int(bad[0]) + 1)
+
+
+def read_series(path, header):
+    """`_read_floats` of a time series: its first column, the time, must
+    strictly increase; the stream is named by the file's basename."""
+    arr = _read_floats(path, header)
+    _check_monotone(arr[:, 0], os.path.basename(path))
+    return arr
 
 
 # --------------------------------------------------------------------------
@@ -258,31 +287,22 @@ class DatasetWriter:
         self.frame_rows.append((float(t), img_name, depth_name))
 
     def write_imu(self, imu: ImuStream):
-        cols = [imu.t, imu.gyro[:, 0], imu.gyro[:, 1], imu.gyro[:, 2],
-                imu.accel[:, 0], imu.accel[:, 1], imu.accel[:, 2]]
-        self._put_csv("imu.csv", "t,gx,gy,gz,ax,ay,az", cols)
+        self._put_csv("imu.csv", "t,gx,gy,gz,ax,ay,az",
+                      np.column_stack([imu.t, imu.gyro, imu.accel]))
 
     def write_motors(self, motors: MotorStream):
-        cols = [motors.t] + [motors.rpm[:, i] for i in range(4)]
-        self._put_csv("motors.csv", "t,rpm1,rpm2,rpm3,rpm4", cols)
+        self._put_csv("motors.csv", "t,rpm1,rpm2,rpm3,rpm4",
+                      np.column_stack([motors.t, motors.rpm]))
 
     def write_groundtruth(self, t, pos, quat_wb, vel_w):
-        cols = [t] + [pos[:, i] for i in range(3)] \
-            + [quat_wb[:, i] for i in range(4)] + [vel_w[:, i] for i in range(3)]
-        self._put_csv("groundtruth.csv", "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz", cols)
+        self._put_csv("groundtruth.csv", "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz",
+                      np.column_stack([t, pos, quat_wb, vel_w]))
 
-    def _put_csv(self, name, header, columns):
-        rows = [header]
-        n = len(columns[0])
-        for i in range(n):
-            rows.append(",".join(_cell(c[i]) for c in columns))
-        self._put(name, ("\n".join(rows) + "\n").encode("ascii"))
+    def _put_csv(self, name, header, rows):
+        self._put(name, csv_text(header, rows).encode("ascii"))
 
     def finalize(self):
-        cols = [[r[0] for r in self.frame_rows],
-                [r[1] for r in self.frame_rows],
-                [r[2] for r in self.frame_rows]]
-        self._put_csv("frames.csv", "t,image,depth", cols)
+        self._put_csv("frames.csv", "t,image,depth", self.frame_rows)
         with open(os.path.join(self.root, "manifest.json"), "w",
                   encoding="ascii", newline="\n") as f:
             f.write(self.manifest.to_json())
@@ -342,19 +362,16 @@ def load_sequence(root) -> DatasetBundle:
     frames = FrameIndex(t=ft, image_files=[r[1] for r in rows],
                         depth_files=[r[2] for r in rows])
 
-    arr = _read_floats(os.path.join(root, "imu.csv"), "t,gx,gy,gz,ax,ay,az")
-    _check_monotone(arr[:, 0], "imu.csv")
+    arr = read_series(os.path.join(root, "imu.csv"), "t,gx,gy,gz,ax,ay,az")
     imu = ImuStream(t=arr[:, 0], gyro=arr[:, 1:4], accel=arr[:, 4:7]).validate()
 
-    arr = _read_floats(os.path.join(root, "motors.csv"), "t,rpm1,rpm2,rpm3,rpm4")
-    _check_monotone(arr[:, 0], "motors.csv")
+    arr = read_series(os.path.join(root, "motors.csv"), "t,rpm1,rpm2,rpm3,rpm4")
     motors = MotorStream(t=arr[:, 0], rpm=arr[:, 1:5]).validate()
 
     gt = None
     gt_path = os.path.join(root, "groundtruth.csv")
     if os.path.exists(gt_path):
-        arr = _read_floats(gt_path, "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz")
-        _check_monotone(arr[:, 0], "groundtruth.csv")
+        arr = read_series(gt_path, "t,px,py,pz,qw,qx,qy,qz,vx,vy,vz")
         gt = {"t": arr[:, 0], "pos": arr[:, 1:4], "quat_wb": arr[:, 4:8],
               "vel_w": arr[:, 8:11]}
     return DatasetBundle(root=root, manifest=manifest, frames=frames,

@@ -157,17 +157,3 @@ def relative_velocity_error(v_est, v_gt, bin_width=1.0, speed_floor=0.5):
             "count": int(sel.sum()),
         })
     return out
-
-
-def rmse_csv_rows(entries):
-    """entries: iterable of (trajectory_id, mode, rmse)."""
-    rows = ["trajectory,mode,rmse_m"]
-    rows += [f"{tid},{mode},{rmse!r}" for tid, mode, rmse in entries]
-    return "\n".join(rows) + "\n"
-
-
-def velocity_bins_csv(bins):
-    rows = ["bin_low,bin_high,mean,std,count"]
-    rows += [f"{b['bin_low']!r},{b['bin_high']!r},{b['mean']!r},{b['std']!r},{b['count']}"
-             for b in bins]
-    return "\n".join(rows) + "\n"

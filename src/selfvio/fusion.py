@@ -52,6 +52,8 @@ class FusionConfig:
             raise ContractViolation("model weight must be in [0,1]")
         if self.update_rate <= 0:
             raise ContractViolation("update rate must be positive")
+        if min(self.vis_noise_std, self.accel_noise_std) < 0:
+            raise ContractViolation("noise standard deviations must be nonnegative")
 
 
 def fused_accel(imu_accel, model_sf, w):
@@ -217,10 +219,3 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
     return FilterResult(t=t.copy(), pos=rows_first(states[..., :3]),
                         vel_body=rows_first(vel_b), vel_world=rows_first(vel_w),
                         n_updates=n_updates)
-
-
-def sweep_csv_rows(entries):
-    """entries: iterable of (rate_hz, w, seed, rmse)."""
-    rows = ["rate_hz,model_weight,seed,rmse_m"]
-    rows += [f"{r!r},{w!r},{s},{e!r}" for r, w, s, e in entries]
-    return "\n".join(rows) + "\n"

@@ -477,11 +477,28 @@ def test_malformed_model_file_is_data_error(tmp_path, small_dataset, verb, case)
     assert main(argv) == 3
 
 
-MALFORMED_CONFIGS = {
+MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out of range
     "train-model steps=abc": ("train-model", "steps=abc\n"),
     "train-model lr=fast": ("train-model", "lr=fast\n"),
     "fuse weights=0.0,x": ("fuse", "weights=0.0,x\n"),
     "fuse rates=30,,20": ("fuse", "rates=30,,20\n"),
+    "generate duration=nan": ("generate", "duration=nan\n"),
+    "generate duration=inf": ("generate", "duration=inf\n"),
+    "generate cam_hz=nan": ("generate", "cam_hz=nan\n"),
+    "generate imu_hz=inf": ("generate", "imu_hz=inf\n"),
+    "estimate depth_scale_factor=nan": ("estimate", "depth_scale_factor=nan\n"),
+    "estimate depth_scale_factor=inf": ("estimate", "depth_scale_factor=inf\n"),
+    "estimate lambda1=nan": ("estimate", "lambda1=nan\n"),
+    "estimate step_size=nan": ("estimate", "step_size=nan\n"),
+    "estimate depth_scale_factor=0": ("estimate", "depth_scale_factor=0\n"),
+    "estimate depth_scale_factor=-1": ("estimate", "depth_scale_factor=-1\n"),
+    "train-model window_max=inf": ("train-model", "window_max=inf\n"),
+    "train-model lr=nan": ("train-model", "lr=nan\n"),
+    # weights=0.0: with no model, the default 0.3 weight is a config error too
+    "fuse rates=nan": ("fuse", "weights=0.0\nrates=nan\n"),
+    "fuse vis_noise_std=-1": ("fuse", "weights=0.0\nvis_noise_std=-1\n"),
+    "fuse accel_noise_std=-1": ("fuse", "weights=0.0\naccel_noise_std=-1\n"),
+    "fuse seeds=-1": ("fuse", "weights=0.0\nseeds=-1\n"),
 }
 
 
@@ -492,6 +509,8 @@ def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
     cfg = _write(os.path.join(tmp_path, "c.cfg"), body)
     out = os.path.join(tmp_path, "out")
     argv = {
+        "generate": ["generate"],
+        "estimate": ["estimate", "--dataset", ds],
         "train-model": ["train-model", "--sequence", f"{ds}:{_teacher_csv(tmp_path, 30)}"],
         "fuse": ["fuse", "--dataset", ds],
     }[verb]

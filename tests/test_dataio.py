@@ -9,8 +9,9 @@ from conftest import small_intrinsics
 
 from selfvio.dataio import (ChecksumMismatchError, DatasetWriter,
                             FormatError, MissingFileError,
-                            NonMonotoneTimestampError, load_sequence,
-                            pgm16_bytes, read_pgm16, write_pgm16)
+                            NonMonotoneTimestampError, _read_floats, csv_text,
+                            load_sequence, pgm16_bytes, read_pgm16,
+                            write_csv, write_pgm16)
 from selfvio.synth import (R_CB, RefDynamicsParams, SceneSpec, TrajectorySpec,
                            camera_pose, render, simulate_imu_motors)
 
@@ -122,3 +123,28 @@ def test_depth_exceeding_scale_rejected(tmp_path):
                       np.zeros(3), 10.0, 100.0, depth_scale=2.0)
     with pytest.raises(FormatError):
         w.add_frame(0.0, np.zeros((8, 8)), np.full((8, 8), 5.0))
+
+
+def test_csv_text_cell_rules():
+    """Strings and bools as they are, integers as integers, every other
+    value as repr(float)."""
+    row = ["pair", True, False, 7, np.int64(-3), 0.1, np.float64(1 / 3), np.nan,
+           np.float32(0.5)]
+    assert csv_text("a,b,c,d,e,f,g,h,i", [row]) == (
+        "a,b,c,d,e,f,g,h,i\npair,True,False,7,-3,0.1,0.3333333333333333,nan,0.5\n")
+
+
+def test_csv_text_header_only():
+    assert csv_text("t,x", []) == "t,x\n"
+    assert csv_text("t,x", np.zeros((0, 2))) == "t,x\n"
+
+
+def test_write_csv_floats_round_trip_bitwise(tmp_path, rng):
+    """Random float64s, over many magnitudes and both signs, read back
+    bit for bit; a 2-D array and its rows of numpy scalars write the same."""
+    arr = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
+    path = os.path.join(tmp_path, "x.csv")
+    write_csv(path, "t,a,b,c", arr)
+    back = _read_floats(path, "t,a,b,c")
+    assert back.view(np.uint64).tolist() == arr.view(np.uint64).tolist()
+    assert open(path).read() == csv_text("t,a,b,c", list(arr))
