@@ -422,9 +422,6 @@ def cmd_eval(args):
     else:
         gt = _read_trajectory_csv(args.gt)
     rmse = evalign.position_rmse(est, gt, mode=cfg["mode"])
-    os.makedirs(args.out, exist_ok=True)
-    dataio.write_csv(os.path.join(args.out, "rmse.csv"), "trajectory,mode,rmse_m",
-                     [(os.path.basename(args.est), cfg["mode"], rmse)])
     if args.vel_est:
         if not os.path.isdir(args.gt):
             raise ConfigError("--vel-est needs a dataset directory as --gt")
@@ -433,6 +430,10 @@ def cmd_eval(args):
         bins = evalign.relative_velocity_error(vel[:, 1:4], vb_gt,
                                                bin_width=cfg["bin_width"],
                                                speed_floor=cfg["speed_floor"])
+    os.makedirs(args.out, exist_ok=True)
+    dataio.write_csv(os.path.join(args.out, "rmse.csv"), "trajectory,mode,rmse_m",
+                     [(os.path.basename(args.est), cfg["mode"], rmse)])
+    if args.vel_est:
         cols = ("bin_low", "bin_high", "mean", "std", "count")
         dataio.write_csv(os.path.join(args.out, "velocity_bins.csv"), ",".join(cols),
                          [[b[c] for c in cols] for b in bins])

@@ -135,6 +135,8 @@ def relative_velocity_error(v_est, v_gt, bin_width=1.0, speed_floor=0.5):
     Returns a list of dicts (bin_low, bin_high, mean, std, count); empty
     bins are absent.
     """
+    if not (bin_width > 0 and speed_floor > 0):
+        raise ContractViolation("bin width and speed floor must be positive")
     v_est = np.asarray(v_est, dtype=np.float64)
     v_gt = np.asarray(v_gt, dtype=np.float64)
     if v_est.shape != v_gt.shape:

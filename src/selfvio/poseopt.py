@@ -9,7 +9,11 @@ carry two transforms); each twist enters the warp as the (R, t) arrays of
 whose parents are the (R, t) of each pose and, when the target depth is
 optimized, its log; `se3_exp_vjp` then carries (dR, dt) back to the twist.
 Plain gradient descent with backtracking (Armijo) line search:
-deterministic, loss non-increasing across accepted steps.
+deterministic, loss non-increasing across accepted steps. The line search
+halves its step only while the step's peak image flow is at least
+`MIN_STEP_PX`: a step far below a pixel cannot change what the image says
+about the pose, so when no candidate at or above that floor decreases the
+loss enough, the pair is converged at its current iterate.
 
 Every twist the loop visits is evaluated once. A line-search candidate's
 forward keeps what its reverse needs (`_loss_only` with `keep`); when the
@@ -19,7 +23,10 @@ evaluation. At most one kept forward is alive at a time: a rejected
 candidate's is dropped before the next candidate runs. The arrays it
 frees go back to the heap, not to the OS, once `cli.main` has raised
 glibc's mmap and trim thresholds, so the next evaluation reuses them
-without faulting its pages in again.
+without faulting its pages in again. The caller may hand in the
+evaluation of the starting point as well (`estimate_pose(..., start=)`):
+`run_sequence`'s warm-start check keeps the forward of the warm twist, and
+when that twist wins, the first gradient is only its reverse.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ from .losses import (SCHEME_2F, DegenerateBatchError, LossConfig, LossDiagnostic
 
 DEPTH_MODES = ("gt-scaled", "optimize")
 
-# line search: halvings per iteration, step growth after an accepted step,
-# and the flow budget cap per iteration (px)
-MAX_BACKTRACKS = 25
+# line search: the smallest candidate step, step growth after an accepted
+# step, and the flow budget cap per iteration (all in px of image flow)
+MIN_STEP_PX = 2e-3
 STEP_GROW = 1.6
 STEP_MAX = 2.0
 
@@ -58,8 +65,10 @@ class OptimizerConfig:
     depth_mode: str = "gt-scaled"
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.max_iters < 0:
-            raise ContractViolation("step size and iteration budget must be positive")
+        if self.step_size < MIN_STEP_PX or self.max_iters < 0:
+            raise ContractViolation(f"step size must be at least the line search's "
+                                    f"{MIN_STEP_PX} px floor, and the iteration "
+                                    "budget non-negative")
         if self.depth_mode not in DEPTH_MODES:
             raise ContractViolation(f"unknown depth mode {self.depth_mode!r}")
 
@@ -167,12 +176,20 @@ def _loss_only(frames, depths, twists, K, cfg, depth_log=None, consts=None, keep
 
 
 def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
-                  cfg: LossConfig, consts=None) -> PoseEstimate:
+                  cfg: LossConfig, consts=None, start=None) -> PoseEstimate:
     """Gradient descent on the scheme's total loss over the pose twist(s)
     (and log target depth in 'optimize' mode). Deterministic; returns the
     best-so-far iterate. consts: the pair's `pair_constants` (with the
     depths in 'gt-scaled' mode, without them in 'optimize' mode), when the
-    caller has built them already.
+    caller has built them already. start: the evaluation that
+    `_loss_only(..., keep)` kept at `init` with these consts and the
+    starting log depth; the first gradient then runs only its reverse.
+
+    Each iteration's line search tries steps of `step_px`, `step_px / 2`,
+    ... pixels of flow while they are at least `MIN_STEP_PX`, and accepts
+    the first that meets the Armijo condition. The pair is converged when
+    no such step does, or when an accepted step decreases the loss by less
+    than `opt.tol`.
 
     Steps are taken in a fixed diagonal metric that equalizes the pixel
     displacement caused by unit translation (~fx/depth) and unit rotation
@@ -207,7 +224,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
         return flow
 
     trace = []
-    loss, g_t, g_d, diag = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
+    loss, g_t, g_d, diag = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts, start)
     if not np.isfinite(loss):
         raise OptimizationDiverged("initial loss is not finite", trace)
     best = (loss, theta.copy(), None if dlog is None else dlog.copy(), diag)
@@ -226,7 +243,7 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
             slope += float((g_d * d_d).sum()) / unit
         accepted = False
         s = step_px
-        for _ in range(MAX_BACKTRACKS):
+        while s >= MIN_STEP_PX:
             cand_t = theta - (s / unit) * d_t
             cand_d = None if dlog is None else dlog - (s / unit) * d_d
             kept = []      # drops the previous candidate's forward before this one
@@ -275,7 +292,9 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
     estimate over (i-1, i, i+1) and report the cur->prev transform, so
     the final pair is dropped. Failed pairs are marked not-converged and
     keep their warm-start twist. Each pair's `pair_constants` are built
-    once and serve its warm-start check and its estimates.
+    once and serve its warm-start check and its estimates, and a warm
+    twist that wins the check is not evaluated again: its kept forward is
+    `estimate_pose`'s start.
     """
     m = len(frames)
     if m < 2:
@@ -299,20 +318,26 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
             dp = [depths[i - 1], depths[i], depths[i + 1]]
         consts = pair_constants(fr, cfg, None if opt.depth_mode == "optimize" else dp)
         # a poisoned warm start locks the whole chain into a bad basin:
-        # seed from whichever of {previous twist, zero} scores lower
+        # seed from whichever of {previous twist, zero} scores lower. The
+        # warm twist's forward is kept for estimate_pose's first gradient,
+        # except in 'optimize' mode: estimate_pose starts there from
+        # exp(log depth), not from the depths this check runs on.
+        start = None
         if np.any(warm):
-            try:
-                l_warm = _loss_only(fr, dp, warm, K, cfg, consts=consts)
-            except DegenerateBatchError:
-                l_warm = np.inf
             try:
                 l_zero = _loss_only(fr, dp, np.zeros_like(warm), K, cfg, consts=consts)
             except DegenerateBatchError:
                 l_zero = np.inf
+            kept = None if opt.depth_mode == "optimize" else []
+            try:
+                l_warm = _loss_only(fr, dp, warm, K, cfg, consts=consts, keep=kept)
+            except DegenerateBatchError:
+                l_warm = np.inf
+            start = kept.pop() if kept else None
             if l_zero < l_warm:
-                warm = np.zeros_like(warm)
+                warm, start = np.zeros_like(warm), None
         try:
-            est = estimate_pose(fr, dp, warm, K, opt, cfg, consts)
+            est = estimate_pose(fr, dp, warm, K, opt, cfg, consts, start)
             est.warm_start = bool(np.any(warm))
         except (OptimizationDiverged, DegenerateBatchError):
             try:

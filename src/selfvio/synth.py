@@ -321,6 +321,8 @@ class TrajectorySpec:
             raise ContractViolation(f"unknown trajectory kind {self.kind!r}")
         if self.peak_speed <= 0:
             raise ContractViolation("peak speed must be positive")
+        if self.duration <= 0 or round(self.duration * self.imu_hz) < 1:
+            raise ContractViolation("duration must be positive and span an IMU period")
         if self.imu_hz < self.cam_hz:
             raise ContractViolation("IMU rate must be at least the camera rate")
         if self.yaw_mode not in ("fixed", "follow"):

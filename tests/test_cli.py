@@ -486,10 +486,14 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "generate duration=inf": ("generate", "duration=inf\n"),
     "generate cam_hz=nan": ("generate", "cam_hz=nan\n"),
     "generate imu_hz=inf": ("generate", "imu_hz=inf\n"),
+    "generate duration=0": ("generate", "duration=0\n"),
+    "generate duration=-1": ("generate", "duration=-1\n"),
+    "generate duration=1e-3": ("generate", "duration=1e-3\n"),
     "estimate depth_scale_factor=nan": ("estimate", "depth_scale_factor=nan\n"),
     "estimate depth_scale_factor=inf": ("estimate", "depth_scale_factor=inf\n"),
     "estimate lambda1=nan": ("estimate", "lambda1=nan\n"),
     "estimate step_size=nan": ("estimate", "step_size=nan\n"),
+    "estimate step_size=1e-3": ("estimate", "step_size=1e-3\n"),
     "estimate depth_scale_factor=0": ("estimate", "depth_scale_factor=0\n"),
     "estimate depth_scale_factor=-1": ("estimate", "depth_scale_factor=-1\n"),
     "train-model window_max=inf": ("train-model", "window_max=inf\n"),
@@ -499,12 +503,16 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "fuse vis_noise_std=-1": ("fuse", "weights=0.0\nvis_noise_std=-1\n"),
     "fuse accel_noise_std=-1": ("fuse", "weights=0.0\naccel_noise_std=-1\n"),
     "fuse seeds=-1": ("fuse", "weights=0.0\nseeds=-1\n"),
+    "eval bin_width=0": ("eval", "bin_width=0\n"),
+    "eval bin_width=-1": ("eval", "bin_width=-1\n"),
+    "eval speed_floor=0": ("eval", "speed_floor=0\n"),
+    "eval speed_floor=-1": ("eval", "speed_floor=-1\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
 def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
-    ds, _ = small_dataset
+    ds, traj = small_dataset
     verb, body = MALFORMED_CONFIGS[case]
     cfg = _write(os.path.join(tmp_path, "c.cfg"), body)
     out = os.path.join(tmp_path, "out")
@@ -513,8 +521,12 @@ def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
         "estimate": ["estimate", "--dataset", ds],
         "train-model": ["train-model", "--sequence", f"{ds}:{_teacher_csv(tmp_path, 30)}"],
         "fuse": ["fuse", "--dataset", ds],
+        "eval": ["eval", "--est", traj, "--gt", ds, "--mode", "none", "--vel-est",
+                 _write(os.path.join(tmp_path, "vb.csv"), "t,vx,vy,vz\n" + "".join(
+                     f"{0.05 * (i + 1)!r},{0.1 * i!r},0.0,0.0\n" for i in range(30)))],
     }[verb]
     assert main(argv + ["--out", out, "--config", cfg]) == 2
+    assert not os.path.exists(out)
 
 
 def test_cli_import_loads_no_scipy():

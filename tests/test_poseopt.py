@@ -310,6 +310,20 @@ def test_loss_and_grad_is_one_loss_node(monkeypatch, scheme, depth_mode):
     assert len(sizes) == 1 and sizes[0] <= 6, sizes
 
 
+def _flow_of(depths, K, cfg):
+    """estimate_pose's peak image flow (px) of a parameter step (d_t, d_d)."""
+    n = 1 if cfg.scheme == SCHEME_2F else 2
+    z_bar = float(np.mean(depths[-1 if cfg.scheme == SCHEME_2F else 1]))
+    f_bar = 0.5 * (K.fx + K.fy)
+
+    def flow_of(d_t, d_d):
+        flow = max(f_bar * (np.linalg.norm(d_t[6 * j + 3:6 * j + 6])
+                            + np.linalg.norm(d_t[6 * j:6 * j + 3]) / z_bar)
+                   for j in range(n))
+        return flow if d_d is None else max(flow, f_bar * float(np.abs(d_d).max()))
+    return flow_of
+
+
 def _reference_estimate_pose(frames, depths, init, K, opt, cfg):
     """The descent loop with a new forward at every accepted point, for its
     gradient and, at the best point, for the returned diagnostics."""
@@ -317,14 +331,9 @@ def _reference_estimate_pose(frames, depths, init, K, opt, cfg):
     tgt = -1 if cfg.scheme == SCHEME_2F else 1
     dlog = np.log(depths[tgt]) if opt.depth_mode == "optimize" else None
     consts = pair_constants(frames, cfg, None if dlog is not None else depths)
-    z_bar, f_bar = float(np.mean(depths[tgt])), 0.5 * (K.fx + K.fy)
+    z_bar = float(np.mean(depths[tgt]))
     precond = np.tile(np.concatenate([np.full(3, z_bar ** 2), np.full(3, 1.0)]), n)
-
-    def flow_of(d_t, d_d):
-        flow = max(f_bar * (np.linalg.norm(d_t[6 * j + 3:6 * j + 6])
-                            + np.linalg.norm(d_t[6 * j:6 * j + 3]) / z_bar)
-                   for j in range(n))
-        return flow if d_d is None else max(flow, f_bar * float(np.abs(d_d).max()))
+    flow_of = _flow_of(depths, K, cfg)
 
     theta = np.asarray(init, dtype=np.float64).copy()
     loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
@@ -337,7 +346,7 @@ def _reference_estimate_pose(frames, depths, init, K, opt, cfg):
         if d_d is not None:
             slope += float((g_d * d_d).sum()) / unit
         s = step_px
-        for _ in range(poseopt.MAX_BACKTRACKS):
+        while s >= poseopt.MIN_STEP_PX:
             cand_t = theta - (s / unit) * d_t
             cand_d = None if dlog is None else dlog - (s / unit) * d_d
             cand_loss = _loss_only(frames, depths, cand_t, K, cfg, cand_d, consts)
@@ -396,3 +405,88 @@ def test_estimate_pose_evaluates_each_twist_once(monkeypatch, scheme, depth_mode
     assert est.diagnostics == diag
     assert est.iterations > 1 and est.backtracks > 0
     assert calls["forward"] == calls["loss_only"] + 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+def test_line_search_stops_at_the_flow_floor(monkeypatch, scheme, depth_mode):
+    """No candidate step is below MIN_STEP_PX of image flow, and the steps
+    of one iteration halve from its first, so an iteration rejects at most
+    ceil(log2(STEP_MAX / MIN_STEP_PX)) candidates."""
+    K, imgs, deps, twists, _ = _gate_case(scheme, depth_mode)
+    opt, cfg = OptimizerConfig(max_iters=100, depth_mode=depth_mode), LossConfig(scheme=scheme)
+    flow_of = _flow_of(deps, K, cfg)
+    iterations = []     # per iteration: its start point and its candidates' steps (px)
+
+    def gradient(frames, depths, twists, K, cfg, depth_log=None, consts=None, kept=None):
+        iterations.append((np.array(twists), depth_log, []))
+        return loss_and_grad(frames, depths, twists, K, cfg, depth_log, consts, kept)
+
+    def candidate(frames, depths, twists, K, cfg, depth_log=None, consts=None, keep=None):
+        theta, dlog, steps = iterations[-1]
+        steps.append(flow_of(theta - twists, None if dlog is None else dlog - depth_log))
+        return _loss_only(frames, depths, twists, K, cfg, depth_log, consts, keep)
+
+    monkeypatch.setattr(poseopt, "loss_and_grad", gradient)
+    monkeypatch.setattr(poseopt, "_loss_only", candidate)
+    est = estimate_pose(imgs, deps, twists, K, opt, cfg)
+
+    bound = int(np.ceil(np.log2(poseopt.STEP_MAX / poseopt.MIN_STEP_PX)))
+    assert est.converged and est.backtracks > 0
+    for _, _, steps in iterations:
+        assert 1 <= len(steps) <= bound
+        assert min(steps) >= poseopt.MIN_STEP_PX * (1 - 1e-6)
+        assert np.allclose(steps, steps[0] * 0.5 ** np.arange(len(steps)), rtol=1e-6)
+    # every iteration but the last accepted its last candidate
+    rejected = sum(len(steps) - 1 for _, _, steps in iterations[:-1])
+    assert est.backtracks - rejected in (len(iterations[-1][2]) - 1, len(iterations[-1][2]))
+
+
+def _gate_sequence(n):
+    """n frames at 32x24 flying toward the gate with a slow yaw."""
+    K = small_intrinsics(32, 24, f=30.0)
+    scene = SceneSpec(texture_seed=5)
+    poses = [camera_pose([1.8 + 0.5 * i, scene.gate_center[0] + 0.05 * i,
+                          scene.gate_center[1]], yaw=0.02 * i) for i in range(n)]
+    frames = [render(scene, p, K) for p in poses]
+    return K, [f.image for f in frames], [f.depth for f in frames], np.arange(n) / 10.0
+
+
+@pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+def test_run_sequence_evaluates_each_warm_start_once(monkeypatch, depth_mode):
+    """The warm-start check keeps the warm twist's forward, and when that
+    twist wins, estimate_pose's first gradient runs only its reverse: one
+    forward per twist visited ('optimize' mode checks on the plain depths
+    and keeps nothing), and bitwise the estimates of the loop that
+    evaluates the warm start again."""
+    K, imgs, deps, times = _gate_sequence(6)
+    opt, cfg = OptimizerConfig(max_iters=20, depth_mode=depth_mode), LossConfig(scheme="3f")
+    estimate = poseopt.estimate_pose
+    with monkeypatch.context() as m:
+        m.setattr(poseopt, "estimate_pose", lambda *args: estimate(*args[:7]))
+        want = run_sequence(imgs, deps, times, K, opt, cfg)[0]
+
+    calls = {"forward": 0, "loss_only": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(poseopt, "total_loss_generic",
+                        counted("forward", poseopt.total_loss_generic))
+    monkeypatch.setattr(poseopt, "_loss_only", counted("loss_only", poseopt._loss_only))
+    ests = run_sequence(imgs, deps, times, K, opt, cfg)[0]
+
+    assert len(ests) == len(want) == 4 and sum(e.warm_start for e in ests) >= 2
+    for e, w in zip(ests, want):
+        for a, b in ((e.twist, w.twist), (e.twist2, w.twist2)):
+            assert np.array_equal(a, b)
+        if depth_mode == "optimize":
+            assert np.array_equal(e.depth, w.depth)
+        assert (e.converged, e.final_loss, e.iterations, e.backtracks, e.warm_start,
+                e.diagnostics) == (w.converged, w.final_loss, w.iterations,
+                                   w.backtracks, w.warm_start, w.diagnostics)
+    cold = len(ests) if depth_mode == "optimize" else sum(not e.warm_start for e in ests)
+    assert calls["forward"] == calls["loss_only"] + cold
