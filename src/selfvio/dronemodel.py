@@ -456,52 +456,25 @@ def _window_vjp(params: DroneModelParams, caches, dt, R_step, dvel, grads):
 
 def window_loss_and_grads(params: DroneModelParams, prep: PreparedSequence,
                           k0: int, n_steps: int, grads=None):
-    """Loss and gradients of one teacher-anchored window.
-
-    The window starts at teacher sample k0 (vb0 = s * base[k0]) and rolls
-    n_steps IMU steps; the loss is the per-component MSE against every
-    teacher sample falling inside the window. Gradients accumulate into
-    `grads` (weights, biases, and the sequence's scale). Training uses
-    `_batched_windows_loss_and_grads`; this single-window form is the
-    reference that the finite-difference checks hold it to.
-    """
-    s = params.scales[prep.seq_id]
-    i0 = int(prep.sample_step[k0])
-    i1 = min(i0 + n_steps, len(prep.dt))
-
-    in_win = (prep.sample_step > i0) & (prep.sample_step <= i1)
-    ks = np.nonzero(in_win)[0]
-    if len(ks) == 0:
-        raise ContractViolation("window contains no teacher samples")
-    targets = s * prep.base_vel[ks]
-    local = prep.sample_step[ks] - i0   # step index of each loss sample
-
-    inputs = [getattr(prep, name)[i0:i1, None] for name in _STEP_INPUTS]
-    vel, caches = _run_window(params, s * prep.base_vel[k0:k0 + 1], *inputs)
-
-    m = len(ks)
-    resid = vel[local, 0] - targets
-    loss = float(np.sum(resid ** 2) / (3 * m))
+    """Loss and gradients of one teacher-anchored window: the batched loss
+    at B=1, so the finite-difference checks hold the path that training
+    runs. Gradients accumulate into `grads` (new when None), which is
+    returned with the loss."""
     if grads is None:
         grads = _zero_grads(params)
-
-    dvel = np.zeros_like(vel)
-    np.add.at(dvel[:, 0], local, 2.0 * resid / (3 * m))
-    ds = float(np.sum(-2.0 * resid / (3 * m) * prep.base_vel[ks]))
-
-    lam = _window_vjp(params, caches, *inputs[-2:], dvel, grads)   # dt, R_step
-    ds += float(lam[0] @ prep.base_vel[k0])   # vb0 = s * base[k0]
-    grads["scales"][prep.seq_id] += ds
-    return loss, grads
+    return _batched_windows_loss_and_grads(params, [prep], [k0], n_steps, grads), grads
 
 
 def _batched_windows_loss_and_grads(params: DroneModelParams, preps,
                                     k0s, n_steps, grads):
     """Vectorized BPTT over a batch of equal-length windows.
 
-    preps: list of PreparedSequence, one per window (may repeat).
-    Returns the mean window loss; gradients (divided by the batch size)
-    accumulate into `grads`. With grads=None only the loss is computed.
+    Window b starts at teacher sample k0s[b] of preps[b] (which may repeat;
+    vb0 = s * base[k0]) and rolls n_steps IMU steps; its loss is the
+    per-component MSE against every teacher sample inside it. Returns the
+    mean window loss; gradients (divided by the batch size) of the MLP and
+    of each sequence's scale accumulate into `grads`. With grads=None only
+    the loss is computed.
     """
     B, L = len(preps), n_steps
     i0s = [int(p.sample_step[k0]) for p, k0 in zip(preps, k0s)]
@@ -517,6 +490,8 @@ def _batched_windows_loss_and_grads(params: DroneModelParams, preps,
     dvel = np.zeros_like(vel)
     for b, (p, i0) in enumerate(zip(preps, i0s)):
         ks = np.nonzero((p.sample_step > i0) & (p.sample_step <= i0 + L))[0]
+        if len(ks) == 0:
+            raise ContractViolation("window contains no teacher samples")
         m, local, base = len(ks), p.sample_step[ks] - i0, p.base_vel[ks]
         resid = vel[local, b] - scales[b] * base
         loss += float(np.sum(resid ** 2) / (3 * m))
@@ -552,7 +527,9 @@ class TrainConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.steps < 0 or self.batch < 1:
+        if (self.lr <= 0 or self.steps < 0 or self.batch < 1 or self.seed < 0
+                or self.init_scale <= 0
+                or (self.lr_final is not None and self.lr_final <= 0)):
             raise ContractViolation("bad training hyperparameters")
         if not (0 < self.window_min <= self.window_max):
             raise ContractViolation("bad window length range")

@@ -12,12 +12,13 @@ Three aggregation schemes are supported:
     its exact inverse, same masked-minimum aggregation.
 
 The masked aggregations normalize by the number of jointly-valid pixels.
-All per-pixel maps are plain float64 arrays. The total loss's reverse is
-closed-form array code: each term's forward returns, next to its value, a
+All per-pixel maps are plain float64 arrays. Every forward carries its
+reverse, closed-form array code: each term returns, next to its value, a
 function that maps the term's gradient back (the box statistics, the
 min-selection, the depth ratios it kept), and `total_loss_generic` chains
 them with the warp's reverse in `geometry` down to (dR, dt) per pose and
-to the target depth.
+to the target depth. A caller that wants only the value drops the reverse,
+and with it what the forward kept.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ def ssim_stats(b, window=3):
     return mu_b, box_mean_same(b * b, window) - mu_b * mu_b
 
 
-def _ssim(a, b, window, b_stats, keep=False):
+def _ssim(a, b, window, b_stats):
     """ssim_loss of (a, b) (b_stats: ssim_stats(b, window), or None), and
-    its reverse in a when keep (else None). The reverse works in place of a
-    and the kept statistics, so it runs once."""
+    its reverse in a. The reverse works in place of a and the kept
+    statistics, so it runs once."""
     mu_a = box_mean_same(a, window)
     mu_b, var_b = ssim_stats(b, window) if b_stats is None else b_stats
     var_a = box_mean_same(a * a, window) - mu_a * mu_a
@@ -140,8 +141,6 @@ def _ssim(a, b, window, b_stats, keep=False):
     loss = (1.0 - ratio) * 0.5
     out = np.maximum(loss, 0.0)
     np.minimum(out, 1.0, out=out)
-    if not keep:
-        return out, None
 
     def back(g):
         # the clip passes the gradient where 0 <= loss <= 1 (ties included)
@@ -184,16 +183,16 @@ def ssim_loss(a, b, window=3):
     return _ssim(a, b, window, None)[0]
 
 
-def _appearance(recon, target, cfg: LossConfig, target_stats, keep=False):
-    """appearance_map, and its reverse in recon when keep (else None). The
-    reverse works in place of recon and the kept arrays, so it runs once."""
+def _appearance(recon, target, cfg: LossConfig, target_stats):
+    """appearance_map, and its reverse in recon. The reverse works in
+    place of recon and the kept arrays, so it runs once."""
     diff = recon - target
     e = l1 = np.abs(diff)
     s_back = None
     if cfg.alpha > 0.0:
-        s, s_back = _ssim(recon, target, cfg.ssim_window, target_stats, keep)
+        s, s_back = _ssim(recon, target, cfg.ssim_window, target_stats)
         e = s if cfg.alpha == 1.0 else (1.0 - cfg.alpha) * l1 + cfg.alpha * s
-    if not keep or cfg.alpha == 1.0:
+    if cfg.alpha == 1.0:
         return e, s_back
 
     def back(g):
@@ -237,15 +236,13 @@ def depth_consistency_error(d_warped, d_t):
     return _depth_consistency(dw, dt)[0]
 
 
-def _depth_consistency(d_warped, d_t, keep=False):
-    """depth_consistency_error, and its reverse in (d_warped, d_t) when keep
-    (else None). The reverse works in place of its argument and the kept
-    ratios, so it runs once."""
+def _depth_consistency(d_warped, d_t):
+    """depth_consistency_error, and its reverse in (d_warped, d_t). The
+    reverse works in place of its argument and the kept ratios, so it runs
+    once."""
     diff = d_warped - d_t
     total = d_warped + d_t
     err = np.abs(diff) / total
-    if not keep:
-        return err, None
 
     def back(g):
         a = np.divide(g, total, out=g)
@@ -260,8 +257,8 @@ def _depth_consistency(d_warped, d_t, keep=False):
     return err, back
 
 
-def _smoothness(disp, img, normalize, keep=False):
-    """smoothness_loss, and its reverse in disp when keep (else None)."""
+def _smoothness(disp, img, normalize):
+    """smoothness_loss, and its reverse in disp."""
     m = float(np.mean(disp)) if normalize else 1.0
     d = disp / m if normalize else disp
     wx = np.exp(-np.abs(img[:, 1:] - img[:, :-1]))
@@ -269,8 +266,6 @@ def _smoothness(disp, img, normalize, keep=False):
     dh = d[..., 1:] - d[..., :-1]
     dv = d[..., 1:, :] - d[..., :-1, :]
     loss = float(np.mean(np.abs(dh) * wx)) + float(np.mean(np.abs(dv) * wy))
-    if not keep:
-        return loss, None
 
     def back(g):
         gh = (g / dh.size) * wx * np.sign(dh)
@@ -400,23 +395,20 @@ class _PoseTerms:
     """One pose's photometric term (source_img warped onto target_img
     through (R, t) with depth_t) and depth term (of source_depth, when
     given; filled with 0 or with the target depth at masked pixels), both
-    through one grid. With keep, they carry their reverse."""
+    through one grid, and what their reverse needs."""
 
     def __init__(self, source_img, target_img, source_depth, depth_t, K, R, t, cfg,
-                 target_stats, zero_fill, keep):
+                 target_stats, zero_fill):
         self.R, self.t, self.depth_t = R, t, depth_t
-        grid = warp_grid(depth_t, K, R, t)
+        self.grid = grid = warp_grid(depth_t, K, R, t)
         recon, self.mask = warp_image(source_img, depth_t, K, R, t, grid)
-        if not keep:
-            grid.image = None       # the sample's slopes serve only the reverse
-        self.e, self.back = _appearance(recon, target_img, cfg, target_stats, keep)
+        self.e, self.back = _appearance(recon, target_img, cfg, target_stats)
         self.d = None
         if source_depth is not None:
             warped, self.dmask = warp_depth_parts(source_depth, depth_t, K, R, t, grid)
             # zero-fill like the unmasked baseline: hits the max error of 1
             filled = warped * self.dmask if zero_fill else np.where(self.dmask, warped, depth_t)
-            self.d, self.d_back = _depth_consistency(filled, depth_t, keep)
-        self.grid = grid if keep else None
+            self.d, self.d_back = _depth_consistency(filled, depth_t)
 
     def vjp(self, K, de, dd, with_depth, with_source_depth):
         """(dR, dt, d depth_t, d source_depth) for the gradients de and dd of
@@ -444,7 +436,7 @@ class _PoseTerms:
 
 
 def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossConfig,
-                       consts: PairConstants | None = None, with_vjp=False):
+                       consts: PairConstants | None = None):
     """Scheme dispatch on (R, t) poses, on plain arrays.
 
     frames, depths: an image and a depth map per frame. poses_rt: (R, t)
@@ -454,10 +446,10 @@ def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossC
     pair_constants of these frames (and depths, when fixed); without it,
     each term computes its constant parts inline.
 
-    Returns (loss, LossDiagnostics), and with with_vjp a third item, the
-    reverse vjp(g, with_depth): for the loss's gradient g, the list of
-    (dR, dt) per transform of poses_rt and, when with_depth, the gradient
-    in the current frame's depth (depths[1]; else None).
+    Returns (loss, LossDiagnostics, vjp), vjp the reverse vjp(g,
+    with_depth): for the loss's gradient g, the list of (dR, dt) per
+    transform of poses_rt and, when with_depth, the gradient in the current
+    frame's depth (depths[1]; else None). It runs once.
     """
     _check_arity(frames, depths, len(poses_rt), cfg)
     s1, s2 = (None, None) if consts is None else consts.target_stats
@@ -468,18 +460,16 @@ def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossC
         prev_depth, cur_depth = depths
         R, t = poses_rt[0]
         Ri, ti = invert_entries(R, t)
-        terms = [_PoseTerms(prev_img, cur_img, prev_depth, cur_depth, K, R, t, cfg, s1,
-                            zero, with_vjp),
-                 _PoseTerms(cur_img, prev_img, cur_depth, prev_depth, K, Ri, ti, cfg, s2,
-                            zero, with_vjp)]
+        terms = [_PoseTerms(prev_img, cur_img, prev_depth, cur_depth, K, R, t, cfg, s1, zero),
+                 _PoseTerms(cur_img, prev_img, cur_depth, prev_depth, K, Ri, ti, cfg, s2, zero)]
     else:
         prev_img, cur_img, next_img = frames
         prev_depth, cur_depth, next_depth = depths
         (R1, t1), (R2, t2) = poses_rt
         terms = [_PoseTerms(prev_img, cur_img, prev_depth, cur_depth, K, R1, t1, cfg, s1,
-                            zero, with_vjp),
+                            zero),
                  _PoseTerms(next_img, cur_img, None if zero else next_depth, cur_depth, K,
-                            R2, t2, cfg, s2, zero, with_vjp)]
+                            R2, t2, cfg, s2, zero)]
     pa, pb = terms
     if zero:
         photo, photo_back = _min_mean(pa.e, pb.e)
@@ -495,13 +485,11 @@ def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossC
     smooth = None if consts is None else consts.smoothness
     smooth_back = None
     if smooth is None:
-        smooth, smooth_back = _smoothness(1.0 / cur_depth, cur_img, True, with_vjp)
+        smooth, smooth_back = _smoothness(1.0 / cur_depth, cur_img, True)
     total = photo + cfg.lambda1 * depth_l + cfg.lambda2 * smooth
 
     diag = LossDiagnostics(float(total), float(photo), float(depth_l), float(smooth),
                            n_p, n_d, cfg.scheme)
-    if not with_vjp:
-        return total, diag
 
     def vjp(g, with_depth=False):
         if not terms:
@@ -548,5 +536,5 @@ def total_loss(frames, depths, poses, K: CameraIntrinsics, cfg: LossConfig):
     frames = [np.asarray(f, dtype=np.float64) for f in frames]
     depths = [np.asarray(d, dtype=np.float64) for d in depths]
     poses_rt = [pose_entries(p) for p in poses]
-    loss, diag = total_loss_generic(frames, depths, poses_rt, K, cfg)
+    loss, diag, _ = total_loss_generic(frames, depths, poses_rt, K, cfg)
     return float(loss), diag

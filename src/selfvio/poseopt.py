@@ -5,9 +5,10 @@ CNN pose/depth networks, exercising exactly the same objectives.
 The relative pose is a 6-vector twist (12 for the triplet schemes, which
 carry two transforms); each twist enters the warp as the (R, t) arrays of
 `se3_exp_entries`. The gradient comes from the loss's closed-form reverse
-(`total_loss_generic` with its vjp), run by one `autodiff.Var` loss node
-whose parents are the (R, t) of each pose and, when the target depth is
-optimized, its log; `se3_exp_vjp` then carries (dR, dt) back to the twist.
+(the vjp that every `total_loss_generic` forward returns), run by one
+`autodiff.Var` loss node whose parents are the (R, t) of each pose and,
+when the target depth is optimized, its log; `se3_exp_vjp` then carries
+(dR, dt) back to the twist.
 Plain gradient descent with backtracking (Armijo) line search:
 deterministic, loss non-increasing across accepted steps. The line search
 halves its step only while the step's peak image flow is at least
@@ -15,12 +16,13 @@ halves its step only while the step's peak image flow is at least
 about the pose, so when no candidate at or above that floor decreases the
 loss enough, the pair is converged at its current iterate.
 
-Every twist the loop visits is evaluated once. A line-search candidate's
-forward keeps what its reverse needs (`_loss_only` with `keep`); when the
-candidate is accepted, `loss_and_grad` runs only that kept reverse, and
-the returned estimate's diagnostics are those of its best point's own
-evaluation. At most one kept forward is alive at a time: a rejected
-candidate's is dropped before the next candidate runs. The arrays it
+Every twist the loop visits is evaluated once. Every forward carries its
+reverse (`_Evaluation.vjp`); when a line-search candidate is accepted,
+`loss_and_grad` runs only the reverse of the evaluation that `_loss_only`
+handed out in its `keep` list, and the returned estimate's diagnostics
+are those of its best point's own evaluation. At most one kept forward is
+alive at a time: a rejected candidate's is dropped before the next
+candidate runs. The arrays it
 frees go back to the heap, not to the OS, once `cli.main` has raised
 glibc's mmap and trim thresholds, so the next evaluation reuses them
 without faulting its pages in again. The caller may hand in the
@@ -110,8 +112,8 @@ def _poses_and_depths(depths, twists, cfg, depth_log):
 
 
 class _Evaluation(NamedTuple):
-    """One forward: its loss and diagnostics, its reverse (None unless the
-    forward was kept), and the (R, t) and depths it ran on."""
+    """One forward: its loss and diagnostics, its reverse, and the (R, t)
+    and depths it ran on."""
     loss: float
     diag: LossDiagnostics
     vjp: object
@@ -119,14 +121,14 @@ class _Evaluation(NamedTuple):
     depths: list
 
 
-def _evaluate(frames, depths, twists, K, cfg, depth_log, consts, with_vjp):
+def _evaluate(frames, depths, twists, K, cfg, depth_log, consts):
     """The forward at the twists, with depths' target entry replaced by
     exp(depth_log) when that is given."""
     _check_consts(consts, depth_log)
     poses_rt, depths = _poses_and_depths(depths, np.asarray(twists, dtype=np.float64),
                                          cfg, depth_log)
-    out = total_loss_generic(frames, depths, poses_rt, K, cfg, consts, with_vjp)
-    return _Evaluation(out[0], out[1], out[2] if with_vjp else None, poses_rt, depths)
+    return _Evaluation(*total_loss_generic(frames, depths, poses_rt, K, cfg, consts),
+                       poses_rt, depths)
 
 
 def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, consts=None,
@@ -143,7 +145,7 @@ def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, co
     """
     twists = np.asarray(twists, dtype=np.float64)
     if kept is None:
-        kept = _evaluate(frames, depths, twists, K, cfg, depth_log, consts, True)
+        kept = _evaluate(frames, depths, twists, K, cfg, depth_log, consts)
     loss, diag, vjp, poses_rt, depths = kept
 
     # one loss node over the (R, t) leaves of each pose and the depth log
@@ -168,8 +170,8 @@ def loss_and_grad(frames, depths, twists, K, cfg: LossConfig, depth_log=None, co
 
 def _loss_only(frames, depths, twists, K, cfg, depth_log=None, consts=None, keep=None):
     """The total loss at the twists, as a float. keep: a list that receives
-    the evaluation with its forward kept, for `loss_and_grad(..., kept)`."""
-    ev = _evaluate(frames, depths, twists, K, cfg, depth_log, consts, keep is not None)
+    the evaluation, for `loss_and_grad(..., kept)`."""
+    ev = _evaluate(frames, depths, twists, K, cfg, depth_log, consts)
     if keep is not None:
         keep.append(ev)
     return float(ev.loss)

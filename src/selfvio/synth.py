@@ -100,6 +100,8 @@ class SceneSpec:
     texture_seed: int = 0
 
     def __post_init__(self):
+        if self.texture_seed < 0:
+            raise ContractViolation("texture_seed must be non-negative")
         if not (self.box_back < self.gate_x < self.bg_depth):
             raise ContractViolation("gate must lie strictly in front of background")
         if not (self.gate_inner[0] < self.gate_outer[0]
@@ -319,8 +321,8 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.kind not in TRAJECTORY_KINDS:
             raise ContractViolation(f"unknown trajectory kind {self.kind!r}")
-        if self.peak_speed <= 0:
-            raise ContractViolation("peak speed must be positive")
+        if self.peak_speed <= 0 or self.period <= 0 or self.cam_hz <= 0:
+            raise ContractViolation("peak speed, period and camera rate must be positive")
         if self.duration <= 0 or round(self.duration * self.imu_hz) < 1:
             raise ContractViolation("duration must be positive and span an IMU period")
         if self.imu_hz < self.cam_hz:
@@ -510,6 +512,10 @@ class NoiseSpec:
     accel_std: float = 0.0
     gyro_bias: tuple = (0.0, 0.0, 0.0)
     accel_bias: tuple = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        if self.seed < 0 or self.gyro_std < 0 or self.accel_std < 0:
+            raise ContractViolation("noise seed and standard deviations must be non-negative")
 
 
 @dataclass

@@ -489,6 +489,13 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "generate duration=0": ("generate", "duration=0\n"),
     "generate duration=-1": ("generate", "duration=-1\n"),
     "generate duration=1e-3": ("generate", "duration=1e-3\n"),
+    "generate cam_hz=-30": ("generate", "cam_hz=-30\n"),
+    "generate cam_hz=0": ("generate", "cam_hz=0\n"),
+    "generate period=0": ("generate", "period=0\n"),
+    "generate texture_seed=-1": ("generate", "texture_seed=-1\n"),
+    "generate seed=-1": ("generate", "seed=-1\ngyro_std=0.01\n"),
+    "generate gyro_std=-0.5": ("generate", "gyro_std=-0.5\n"),
+    "generate accel_std=-0.5": ("generate", "accel_std=-0.5\n"),
     "estimate depth_scale_factor=nan": ("estimate", "depth_scale_factor=nan\n"),
     "estimate depth_scale_factor=inf": ("estimate", "depth_scale_factor=inf\n"),
     "estimate lambda1=nan": ("estimate", "lambda1=nan\n"),
@@ -498,6 +505,11 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "estimate depth_scale_factor=-1": ("estimate", "depth_scale_factor=-1\n"),
     "train-model window_max=inf": ("train-model", "window_max=inf\n"),
     "train-model lr=nan": ("train-model", "lr=nan\n"),
+    "train-model lr_final=-1": ("train-model", "lr_final=-1\n"),
+    "train-model lr_final=0": ("train-model", "lr_final=0\n"),
+    "train-model seed=-1": ("train-model", "seed=-1\n"),
+    "train-model init_scale=0": ("train-model", "init_scale=0\n"),
+    "train-model init_scale=-1": ("train-model", "init_scale=-1\n"),
     # weights=0.0: with no model, the default 0.3 weight is a config error too
     "fuse rates=nan": ("fuse", "weights=0.0\nrates=nan\n"),
     "fuse vis_noise_std=-1": ("fuse", "weights=0.0\nvis_noise_std=-1\n"),
@@ -526,6 +538,19 @@ def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
                      f"{0.05 * (i + 1)!r},{0.1 * i!r},0.0,0.0\n" for i in range(30)))],
     }[verb]
     assert main(argv + ["--out", out, "--config", cfg]) == 2
+    assert not os.path.exists(out)
+
+
+def test_train_model_window_without_teacher_samples_is_config_error(tmp_path):
+    """A window too short to hold a teacher sample has no loss. The table's
+    2-s dataset stops at the 5-s minimum first, so this runs on a 6-s one."""
+    ds = os.path.join(tmp_path, "ds")
+    gen = _write(os.path.join(tmp_path, "g.cfg"), GEN_SMALL + "duration=6.0\n")
+    assert main(["generate", "--config", gen, "--out", ds]) == 0
+    cfg = _write(os.path.join(tmp_path, "t.cfg"), "steps=2\nwindow_min=0.001\nwindow_max=0.001\n")
+    out = os.path.join(tmp_path, "out")
+    assert main(["train-model", "--sequence", f"{ds}:{_teacher_csv(tmp_path, 119)}",
+                 "--out", out, "--config", cfg]) == 2
     assert not os.path.exists(out)
 
 
