@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
 Verbs: generate, estimate, train-model, rollout, fuse, eval. Commands
-communicate only through files; every run echoes its resolved
-configuration into the output directory and is byte-reproducible under a
-fixed seed.
+communicate only through files and are byte-reproducible under a fixed
+seed. `main` is the one runner of every verb: it reads the verb's config,
+applies the flags that override config keys, calls `cmd_<verb>(args, cfg)`,
+echoes the resolved configuration into the output directory and prints
+the summary line the verb returns.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -145,8 +147,7 @@ def _scene_for(traj: synth.TrajectorySpec, texture_seed):
     )
 
 
-def cmd_generate(args):
-    cfg = _coerce(GEN_DEFAULTS, _parse_config(args.config, GEN_DEFAULTS))
+def cmd_generate(args, cfg):
     outdir = args.out
     traj = _build(synth.TrajectorySpec, cfg)
     dyn = _build(synth.RefDynamicsParams, cfg, accel_z_bias=cfg["accel_bias_z"])
@@ -168,10 +169,8 @@ def cmd_generate(args):
     writer.write_motors(sim.motors)
     writer.write_groundtruth(sim.t_gt, sim.pos_w, sim.quat_wb, sim.vel_w)
     manifest = writer.finalize()
-    _echo_config(outdir, "generate.echo.cfg", cfg)
-    print(f"dataset {manifest.sequence_id}: {len(sim.cam_poses)} frames at "
-          f"{cfg['cam_hz']:g} Hz, IMU {cfg['imu_hz']:g} Hz -> {outdir}")
-    return EXIT_OK
+    return (f"dataset {manifest.sequence_id}: {len(sim.cam_poses)} frames at "
+            f"{cfg['cam_hz']:g} Hz, IMU {cfg['imu_hz']:g} Hz -> {outdir}")
 
 
 # --------------------------------------------------------------------------
@@ -185,18 +184,16 @@ EST_DEFAULTS = {
 }
 
 
-def cmd_estimate(args):
-    cfg = _coerce(EST_DEFAULTS, _parse_config(args.config, EST_DEFAULTS))
-    if args.scheme:
-        cfg["scheme"] = args.scheme
+def cmd_estimate(args, cfg):
     if cfg["depth_scale_factor"] <= 0:
         raise ConfigError("depth_scale_factor must be positive")
+    if cfg["stride"] < 1 or cfg["max_pairs"] < 0:
+        raise ConfigError("stride must be at least 1 and max_pairs nonnegative")
     lcfg = _build(losses.LossConfig, cfg)
     ocfg = _build(poseopt.OptimizerConfig, cfg)
     ds = dataio.load_sequence(args.dataset)
     K = ds.manifest.intrinsics
-    stride = max(1, cfg["stride"])
-    idx = list(range(0, len(ds.frames.t), stride))
+    idx = list(range(0, len(ds.frames.t), cfg["stride"]))
     if cfg["max_pairs"] > 0:
         idx = idx[:cfg["max_pairs"] + 2]
     if len(idx) < 2:
@@ -222,10 +219,7 @@ def cmd_estimate(args):
     dataio.write_csv(os.path.join(args.out, "diagnostics.csv"),
                      "pair,converged,iterations,final_loss,photometric,depth,smoothness,"
                      "valid_photo,valid_depth,backtracks,warm_start", diags)
-
-    _echo_config(args.out, "estimate.echo.cfg", cfg)
-    print(f"estimated {len(estimates)} pairs ({cfg['scheme']}) -> {args.out}")
-    return EXIT_OK
+    return f"estimated {len(estimates)} pairs ({cfg['scheme']}) -> {args.out}"
 
 
 # --------------------------------------------------------------------------
@@ -292,8 +286,7 @@ def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, attitude):
         g_body=g_b, cam_t=vel[:, 0], v_cam=vel[:, 1:4], R_cb=ds.manifest.R_cb)
 
 
-def cmd_train_model(args):
-    cfg = _coerce(TRAIN_DEFAULTS, _parse_config(args.config, TRAIN_DEFAULTS))
+def cmd_train_model(args, cfg):
     seqs = []
     for spec in args.sequence:
         if ":" not in spec:
@@ -306,10 +299,8 @@ def cmd_train_model(args):
     dronemodel.save_params(os.path.join(args.out, "model.json"), params)
     dataio.write_csv(os.path.join(args.out, "history.csv"), "step,loss",
                      enumerate(history))
-    _echo_config(args.out, "train-model.echo.cfg", cfg)
     scales = ", ".join(f"{k}={v:.4f}" for k, v in sorted(params.scales.items()))
-    print(f"trained {cfg['steps']} steps; scales: {scales} -> {args.out}")
-    return EXIT_OK
+    return f"trained {cfg['steps']} steps; scales: {scales} -> {args.out}"
 
 
 # --------------------------------------------------------------------------
@@ -318,8 +309,7 @@ def cmd_train_model(args):
 ROLLOUT_DEFAULTS = {"cutoff_hz": 5.0, "attitude": "ekf"}
 
 
-def cmd_rollout(args):
-    cfg = _coerce(ROLLOUT_DEFAULTS, _parse_config(args.config, ROLLOUT_DEFAULTS))
+def cmd_rollout(args, cfg):
     ds = dataio.load_sequence(args.dataset)
     params = _load_model(args.model)
     seq = _sequence_from_dataset(ds, args.velocities, attitude=cfg["attitude"])
@@ -331,9 +321,7 @@ def cmd_rollout(args):
     os.makedirs(args.out, exist_ok=True)
     dataio.write_csv(os.path.join(args.out, "rollout.csv"), "t,vx,vy,vz",
                      np.column_stack([ro.t, ro.vel]))
-    _echo_config(args.out, "rollout.echo.cfg", cfg)
-    print(f"rolled out {len(ro.t)} samples -> {args.out}")
-    return EXIT_OK
+    return f"rolled out {len(ro.t)} samples -> {args.out}"
 
 
 # --------------------------------------------------------------------------
@@ -346,8 +334,7 @@ FUSE_DEFAULTS = {
 }
 
 
-def cmd_fuse(args):
-    cfg = _coerce(FUSE_DEFAULTS, _parse_config(args.config, FUSE_DEFAULTS))
+def cmd_fuse(args, cfg):
     weights = _float_list(cfg, "weights")
     rates = _float_list(cfg, "rates")
     if cfg["seeds"] < 0:
@@ -392,9 +379,7 @@ def cmd_fuse(args):
     if last is not None:            # the last rate x weight x seed run
         dataio.write_csv(os.path.join(args.out, "trajectory.csv"), "t,px,py,pz,vbx,vby,vbz",
                          np.column_stack([last.t, last.pos[-1], last.vel_body[-1]])[::5])
-    _echo_config(args.out, "fuse.echo.cfg", cfg)
-    print(f"fusion sweep: {len(entries)} runs -> {args.out}")
-    return EXIT_OK
+    return f"fusion sweep: {len(entries)} runs -> {args.out}"
 
 
 # --------------------------------------------------------------------------
@@ -408,10 +393,7 @@ def _read_trajectory_csv(path):
     return evalign.TrajectoryEstimate(t=arr[:, 0], pos=arr[:, 1:4])
 
 
-def cmd_eval(args):
-    cfg = _coerce(EVAL_DEFAULTS, _parse_config(args.config, EVAL_DEFAULTS))
-    if args.mode:
-        cfg["mode"] = args.mode
+def cmd_eval(args, cfg):
     est = _read_trajectory_csv(args.est)
     if os.path.isdir(args.gt):
         ds = dataio.load_sequence(args.gt)
@@ -437,12 +419,19 @@ def cmd_eval(args):
         cols = ("bin_low", "bin_high", "mean", "std", "count")
         dataio.write_csv(os.path.join(args.out, "velocity_bins.csv"), ",".join(cols),
                          [[b[c] for c in cols] for b in bins])
-    _echo_config(args.out, "eval.echo.cfg", cfg)
-    print(f"absolute position RMSE ({cfg['mode']}): {rmse:.6f} m -> {args.out}")
-    return EXIT_OK
+    return f"absolute position RMSE ({cfg['mode']}): {rmse:.6f} m -> {args.out}"
 
 
 # --------------------------------------------------------------------------
+
+
+def _verb(sub, name, fn, defaults, help, description=None):
+    """A verb's subparser with the `--out` and `--config` every verb takes."""
+    v = sub.add_parser(name, help=help, description=description)
+    v.add_argument("--out", required=True)
+    v.add_argument("--config", help="key=value config file")
+    v.set_defaults(fn=fn, defaults=defaults)
+    return v
 
 
 def build_parser():
@@ -452,57 +441,39 @@ def build_parser():
                     "estimate poses, train the drone model, fuse, evaluate.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="render a synthetic dataset")
-    g.add_argument("--config", help="key=value config file")
-    g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_generate)
+    _verb(sub, "generate", cmd_generate, GEN_DEFAULTS, "render a synthetic dataset")
 
-    e = sub.add_parser("estimate", help="per-pair pose estimation over a dataset")
+    e = _verb(sub, "estimate", cmd_estimate, EST_DEFAULTS,
+              "per-pair pose estimation over a dataset")
     e.add_argument("--dataset", required=True)
-    e.add_argument("--out", required=True)
     e.add_argument("--scheme", choices=losses.SCHEMES)
-    e.add_argument("--config")
-    e.set_defaults(fn=cmd_estimate)
 
-    t = sub.add_parser("train-model", help="train the drone dynamics model")
+    t = _verb(sub, "train-model", cmd_train_model, TRAIN_DEFAULTS,
+              "train the drone dynamics model")
     t.add_argument("--sequence", action="append", required=True,
                    metavar="DATASET_DIR:VELOCITIES_CSV")
-    t.add_argument("--out", required=True)
-    t.add_argument("--config")
-    t.set_defaults(fn=cmd_train_model)
 
-    r = sub.add_parser("rollout", help="open-loop velocity rollout")
+    r = _verb(sub, "rollout", cmd_rollout, ROLLOUT_DEFAULTS, "open-loop velocity rollout")
     r.add_argument("--dataset", required=True)
     r.add_argument("--model", required=True)
     r.add_argument("--velocities", required=True)
-    r.add_argument("--out", required=True)
-    r.add_argument("--config")
-    r.set_defaults(fn=cmd_rollout)
 
-    f = sub.add_parser(
-        "fuse", help="fusion filter sweep",
-        description="Run the fusion filter for every update rate x model weight "
-                    "x seed combination, one filter pass per rate. sweep.csv "
-                    "holds one RMSE row per combination; trajectory.csv holds "
-                    "the trajectory of the last combination: the last rate, "
-                    "the last weight and the last seed.")
+    f = _verb(sub, "fuse", cmd_fuse, FUSE_DEFAULTS, "fusion filter sweep",
+              "Run the fusion filter for every update rate x model weight x seed "
+              "combination, one filter pass per rate. sweep.csv holds one RMSE row "
+              "per combination; trajectory.csv holds the trajectory of the last "
+              "combination: the last rate, the last weight and the last seed.")
     f.add_argument("--dataset", required=True)
     f.add_argument("--model")
-    f.add_argument("--out", required=True)
-    f.add_argument("--config")
     f.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    f.set_defaults(fn=cmd_fuse)
 
-    v = sub.add_parser("eval", help="trajectory metrics")
+    v = _verb(sub, "eval", cmd_eval, EVAL_DEFAULTS, "trajectory metrics")
     v.add_argument("--est", required=True)
     v.add_argument("--gt", required=True, help="trajectory CSV or dataset dir")
     v.add_argument("--mode", choices=evalign.ALIGN_MODES)
     v.add_argument("--vel-est", help="body-velocity CSV (t,vx,vy,vz) for "
                                      "per-speed-bin relative error")
-    v.add_argument("--out", required=True)
-    v.add_argument("--config")
-    v.set_defaults(fn=cmd_eval)
     return p
 
 
@@ -520,23 +491,27 @@ def _keep_freed_arrays_in_heap():
 
 
 def main(argv=None):
+    """Run the verb that argv names, as the module docstring describes, and
+    return its exit code."""
     _keep_freed_arrays_in_heap()
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (evalign.DegeneratePointSet, dronemodel.ShortSequence) as e:
+        cfg = _coerce(args.defaults, _parse_config(args.config, args.defaults))
+        cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
+        summary = args.fn(args, cfg)
+    except (evalign.DegeneratePointSet, dronemodel.ShortSequence, dataio.DatasetError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ContractViolation) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except dataio.DatasetError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except (dronemodel.DivergenceError, fusion.FilterDivergence,
             poseopt.OptimizationDiverged, synth.SimulationInfeasible) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    _echo_config(args.out, f"{args.command}.echo.cfg", cfg)
+    print(summary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -134,16 +134,13 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
     single = vis_v.ndim == 2
     z = np.ascontiguousarray((vis_v[None] if single else vis_v).swapaxes(0, 1))
     B = z.shape[1]                      # z: (M, B, 3), an update's B draws together
-    # one run blends with a float: per step, cheaper than a (1, 1) column
-    w = (float(cfg.model_weight) if single else
-         np.broadcast_to(np.asarray(cfg.model_weight, dtype=np.float64), (B,))[:, None])
-    blend = bool(np.any(w))
-    if blend and model is None:
+    w = np.broadcast_to(np.asarray(cfg.model_weight, dtype=np.float64), (B,))[:, None]
+    # the model runs only on the rows with w > 0; the others propagate with
+    # their IMU sample
+    on = w[:, 0] > 0.0
+    w_on = w[on]
+    if len(w_on) and model is None:
         raise ContractViolation("model required when model_weight > 0")
-    # a batch evaluates the model only on its rows with w > 0; a w = 0 row
-    # blends to its IMU sample (0 * m + 1.0 * a is a, for a finite m)
-    on = None if single or np.all(w) else w[:, 0] > 0.0
-    w_on = w if on is None else w[on]
     x = np.empty((B, 6))                # rows [p, v]; p and v are views
     x[:, :3] = 0.0 if p0 is None else p0
     x[:, 3:] = 0.0 if v0 is None else v0
@@ -151,6 +148,7 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
     P = np.diag([INIT_POS_STD ** 2] * 3 + [INIT_VEL_STD ** 2] * 3)
     R_meas = (cfg.vis_noise_std ** 2) * np.eye(3)
 
+    a_b = np.empty((B, 3))              # each row's body-frame specific force
     states = np.empty((n, B, 6))
     states[0] = x
     t = np.asarray(imu_t, dtype=np.float64)
@@ -170,17 +168,12 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
         t_next = t_list[i + 1]
         dt = t_next - t_list[i]
         Rb = R_wb[i]
-        if blend:
-            sf_model = model_specific_force(model, _matvec(Rb.T, v if on is None else v[on]),
+        a_b[:] = accel[i]
+        if len(w_on):
+            sf_model = model_specific_force(model, _matvec(Rb.T, v[on]),
                                             accel[i], gyro[i], rpm[i])
-            fused = fused_accel(accel[i], sf_model, w_on)
-            if on is not None:
-                fused_on, fused = fused, np.empty((B, 3))
-                fused[:] = accel[i]
-                fused[on] = fused_on
-            a_w = _matvec(Rb, fused) + G_WORLD
-        else:                           # IMU only: one a_w for every row
-            a_w = Rb @ accel[i] + G_WORLD
+            a_b[on] = fused_accel(accel[i], sf_model, w_on)
+        a_w = _matvec(Rb, a_b) + G_WORLD
         p += v * dt                     # p + v dt + a dt^2 / 2, in that order
         p += 0.5 * a_w * dt * dt
         v += a_w * dt

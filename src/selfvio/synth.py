@@ -321,8 +321,8 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.kind not in TRAJECTORY_KINDS:
             raise ContractViolation(f"unknown trajectory kind {self.kind!r}")
-        if self.peak_speed <= 0 or self.period <= 0 or self.cam_hz <= 0:
-            raise ContractViolation("peak speed, period and camera rate must be positive")
+        if self.peak_speed <= 0 or self.period <= 0 or self.cam_hz <= 0 or self.ramp <= 0:
+            raise ContractViolation("peak speed, period, camera rate and ramp must be positive")
         if self.duration <= 0 or round(self.duration * self.imu_hz) < 1:
             raise ContractViolation("duration must be positive and span an IMU period")
         if self.imu_hz < self.cam_hz:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import selfvio
-from selfvio.cli import main
+from selfvio.cli import EST_DEFAULTS, EVAL_DEFAULTS, main
 from selfvio.dataio import FormatError, load_sequence
 from selfvio.dronemodel import MODEL_FORMAT, init_params, save_params
 
@@ -496,6 +496,8 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "generate seed=-1": ("generate", "seed=-1\ngyro_std=0.01\n"),
     "generate gyro_std=-0.5": ("generate", "gyro_std=-0.5\n"),
     "generate accel_std=-0.5": ("generate", "accel_std=-0.5\n"),
+    "generate ramp=0": ("generate", "ramp=0\n"),
+    "generate ramp=-1": ("generate", "ramp=-1\n"),
     "estimate depth_scale_factor=nan": ("estimate", "depth_scale_factor=nan\n"),
     "estimate depth_scale_factor=inf": ("estimate", "depth_scale_factor=inf\n"),
     "estimate lambda1=nan": ("estimate", "lambda1=nan\n"),
@@ -503,6 +505,9 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "estimate step_size=1e-3": ("estimate", "step_size=1e-3\n"),
     "estimate depth_scale_factor=0": ("estimate", "depth_scale_factor=0\n"),
     "estimate depth_scale_factor=-1": ("estimate", "depth_scale_factor=-1\n"),
+    "estimate stride=0": ("estimate", "stride=0\n"),
+    "estimate stride=-2": ("estimate", "stride=-2\n"),
+    "estimate max_pairs=-1": ("estimate", "max_pairs=-1\n"),
     "train-model window_max=inf": ("train-model", "window_max=inf\n"),
     "train-model lr=nan": ("train-model", "lr=nan\n"),
     "train-model lr_final=-1": ("train-model", "lr_final=-1\n"),
@@ -519,6 +524,9 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "eval bin_width=-1": ("eval", "bin_width=-1\n"),
     "eval speed_floor=0": ("eval", "speed_floor=0\n"),
     "eval speed_floor=-1": ("eval", "speed_floor=-1\n"),
+    # every verb rejects a key it does not know, before it reads any input
+    **{f"{verb} bogus_key=1": (verb, "bogus_key=1\n") for verb in
+       ("generate", "estimate", "train-model", "rollout", "fuse", "eval")},
 }
 
 
@@ -532,6 +540,8 @@ def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
         "generate": ["generate"],
         "estimate": ["estimate", "--dataset", ds],
         "train-model": ["train-model", "--sequence", f"{ds}:{_teacher_csv(tmp_path, 30)}"],
+        "rollout": ["rollout", "--dataset", ds, "--model", os.path.join(tmp_path, "m.json"),
+                    "--velocities", os.path.join(tmp_path, "v.csv")],
         "fuse": ["fuse", "--dataset", ds],
         "eval": ["eval", "--est", traj, "--gt", ds, "--mode", "none", "--vel-est",
                  _write(os.path.join(tmp_path, "vb.csv"), "t,vx,vy,vz\n" + "".join(
@@ -539,6 +549,23 @@ def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
     }[verb]
     assert main(argv + ["--out", out, "--config", cfg]) == 2
     assert not os.path.exists(out)
+
+
+def test_echo_holds_the_resolved_config(tmp_path, small_dataset):
+    """Each verb's echo holds exactly its config keys, with a flag that
+    names a config key overriding the config file's value."""
+    ds, traj = small_dataset
+    ecfg = _write(os.path.join(tmp_path, "e.cfg"), "scheme=2f\nmax_pairs=1\nmax_iters=2\n")
+    runs = {"estimate": (["estimate", "--dataset", ds, "--scheme", "3f", "--config", ecfg],
+                         EST_DEFAULTS, "scheme=3f"),
+            "eval": (["eval", "--est", traj, "--gt", traj, "--mode", "se3"],
+                     EVAL_DEFAULTS, "mode=se3")}
+    for verb, (argv, defaults, line) in runs.items():
+        out = os.path.join(tmp_path, verb)
+        assert main(argv + ["--out", out]) == 0
+        echo = open(os.path.join(out, f"{verb}.echo.cfg")).read().splitlines()
+        assert line in echo
+        assert sorted(ln.split("=", 1)[0] for ln in echo) == sorted(defaults)
 
 
 def test_train_model_window_without_teacher_samples_is_config_error(tmp_path):
