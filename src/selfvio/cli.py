@@ -196,8 +196,9 @@ def cmd_estimate(args, cfg):
     idx = list(range(0, len(ds.frames.t), cfg["stride"]))
     if cfg["max_pairs"] > 0:
         idx = idx[:cfg["max_pairs"] + 2]
-    if len(idx) < 2:
-        raise ContractViolation("not enough frames for the requested stride")
+    if len(idx) < losses.SCHEME_FRAMES[lcfg.scheme]:
+        raise ConfigError(f"stride {cfg['stride']} leaves too few frames for scheme "
+                          f"{lcfg.scheme}")
     frames = [ds.load_image(i) for i in idx]
     depths = [ds.load_depth(i) * cfg["depth_scale_factor"] for i in idx]
     times = [float(ds.frames.t[i]) for i in idx]

@@ -56,15 +56,18 @@ class FusionConfig:
             raise ContractViolation("noise standard deviations must be nonnegative")
 
 
+def _blend(imu_accel, model_sf, w):
+    return w * model_sf + (1.0 - w) * imu_accel
+
+
 def fused_accel(imu_accel, model_sf, w):
     """Affine blend of measured and model-predicted specific force; w is a
     float, or a (B, 1) array of weights for a (B, 3) stack."""
     lo, hi = (w.min(), w.max()) if isinstance(w, np.ndarray) else (w, w)
     if not (0.0 <= lo and hi <= 1.0):
         raise ContractViolation("w must be in [0,1]")
-    imu_accel = np.asarray(imu_accel, dtype=np.float64)
-    model_sf = np.asarray(model_sf, dtype=np.float64)
-    return w * model_sf + (1.0 - w) * imu_accel
+    return _blend(np.asarray(imu_accel, dtype=np.float64),
+                  np.asarray(model_sf, dtype=np.float64), w)
 
 
 def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm):
@@ -172,7 +175,7 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
         if len(w_on):
             sf_model = model_specific_force(model, _matvec(Rb.T, v[on]),
                                             accel[i], gyro[i], rpm[i])
-            a_b[on] = fused_accel(accel[i], sf_model, w_on)
+            a_b[on] = _blend(accel[i], sf_model, w_on)    # FusionConfig checked w
         a_w = _matvec(Rb, a_b) + G_WORLD
         p += v * dt                     # p + v dt + a dt^2 / 2, in that order
         p += 0.5 * a_w * dt * dt

@@ -1,17 +1,18 @@
 """Self-supervised reconstruction losses and their occlusion-aware variants.
 
-Three aggregation schemes are supported:
+A scheme is a row of `SCHEME_WARPS`: the warps it builds over its frames
+(prev, cur[, next]), each reconstructing a target frame from a source
+frame through one transform or its exact inverse. The current frame
+(index 1) holds the depth that estimation refines and smoothness weighs.
 
-  - ``benchmark``: per-pixel minimum of the two source reconstructions
-    plus a single-reprojection depth-consistency term, no validity masks,
-    averaged over every pixel (the common unmasked baseline),
-  - ``3f``: three frames (prev, cur, next), two independent transforms,
-    per-pixel minimum of both error maps gated by the product of both
-    validity masks,
-  - ``2f``: two frames reprojected onto each other with one transform and
-    its exact inverse, same masked-minimum aggregation.
+  - ``2f``: prev onto cur through one transform, cur onto prev through
+    its exact inverse,
+  - ``3f`` and ``benchmark``: prev and next onto cur, two transforms;
+    ``benchmark`` keeps only the first warp's depth term, with its masked
+    pixels filled with 0 (the common unmasked baseline).
 
-The masked aggregations normalize by the number of jointly-valid pixels.
+Each takes the per-pixel minimum of its error maps, averaged over the
+jointly-valid pixels; the benchmark's masks are all valid.
 All per-pixel maps are plain float64 arrays. Every forward carries its
 reverse, closed-form array code: each term returns, next to its value, a
 function that maps the term's gradient back (the box statistics, the
@@ -36,6 +37,16 @@ SCHEME_BENCHMARK = "benchmark"
 SCHEME_2F = "2f"
 SCHEME_3F = "3f"
 SCHEMES = (SCHEME_BENCHMARK, SCHEME_2F, SCHEME_3F)
+
+# each scheme's warps: (source frame, target frame, transform index, inverted)
+SCHEME_WARPS = {
+    SCHEME_2F: ((0, 1, 0, False), (1, 0, 0, True)),
+    SCHEME_3F: ((0, 1, 0, False), (2, 1, 1, False)),
+    SCHEME_BENCHMARK: ((0, 1, 0, False), (2, 1, 1, False)),
+}
+# frames per estimate; an estimate carries one transform fewer
+SCHEME_FRAMES = {s: 1 + max(max(src, tgt) for src, tgt, _, _ in warps)
+                 for s, warps in SCHEME_WARPS.items()}
 
 
 class DegenerateBatchError(ValueError):
@@ -329,12 +340,6 @@ def _route_min(e1, e2, w):
     return w1, w
 
 
-def _min_mean(e1, e2):
-    """Unmasked minimum mean over every pixel and its reverse."""
-    loss = float(np.mean(np.minimum(e1, e2)))
-    return loss, lambda g: _route_min(e1, e2, np.full(e1.shape, g / float(e1.size)))
-
-
 def masked_min_photometric(errors, masks):
     """Per-pixel min across error maps, gated by all masks, averaged over
     jointly-valid pixels. A single map degenerates to the masked mean."""
@@ -351,15 +356,11 @@ masked_min_depth = masked_min_photometric   # same contract, for depth maps
 
 def _check_arity(frames, depths, n_poses, cfg):
     """depths and n_poses may be None (not checked)."""
-    if cfg.scheme == SCHEME_2F:
-        want_frames, want_poses = 2, 1
-    else:
-        want_frames, want_poses = 3, 2
-    if len(frames) != want_frames or (depths is not None and len(depths) != want_frames):
-        raise ContractViolation(
-            f"scheme {cfg.scheme} expects {want_frames} frames/depths")
-    if n_poses is not None and n_poses != want_poses:
-        raise ContractViolation(f"scheme {cfg.scheme} expects {want_poses} pose(s)")
+    want = SCHEME_FRAMES[cfg.scheme]
+    if len(frames) != want or (depths is not None and len(depths) != want):
+        raise ContractViolation(f"scheme {cfg.scheme} expects {want} frames/depths")
+    if n_poses is not None and n_poses != want - 1:
+        raise ContractViolation(f"scheme {cfg.scheme} expects {want - 1} pose(s)")
 
 
 @dataclass
@@ -367,7 +368,7 @@ class PairConstants:
     """The pose-independent terms of one pair's (or triplet's) loss, built
     by `pair_constants` once and shared by every evaluation at that pair."""
 
-    target_stats: tuple        # ssim_stats of each photometric term's target (None at alpha 0)
+    target_stats: tuple        # ssim_stats of each warp's target (None at alpha 0)
     smoothness: float | None   # the smoothness term, when the depths are held fixed
 
 
@@ -379,14 +380,11 @@ def pair_constants(frames, cfg: LossConfig, depths=None) -> PairConstants:
     depth is optimized.
     """
     _check_arity(frames, depths, None, cfg)
-    # 2f's photometric terms target the current and the previous frame;
-    # the triplet schemes' both target the current frame
-    if cfg.alpha == 0.0:
-        stats = (None, None)
-    elif cfg.scheme == SCHEME_2F:
-        stats = tuple(ssim_stats(frames[i], cfg.ssim_window) for i in (1, 0))
-    else:
-        stats = (ssim_stats(frames[1], cfg.ssim_window),) * 2
+    targets = [tgt for _, tgt, _, _ in SCHEME_WARPS[cfg.scheme]]
+    # one ssim_stats per distinct target frame
+    by_target = {} if cfg.alpha == 0.0 else \
+        {tgt: ssim_stats(frames[tgt], cfg.ssim_window) for tgt in targets}
+    stats = tuple(by_target.get(tgt) for tgt in targets)
     smooth = None if depths is None else smoothness_loss(1.0 / depths[1], frames[1])
     return PairConstants(stats, smooth)
 
@@ -437,7 +435,7 @@ class _PoseTerms:
 
 def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossConfig,
                        consts: PairConstants | None = None):
-    """Scheme dispatch on (R, t) poses, on plain arrays.
+    """The scheme's total loss on (R, t) poses, on plain arrays.
 
     frames, depths: an image and a depth map per frame. poses_rt: (R, t)
     transforms, each a (3, 3) and a (3,) array; for 2f a single transform
@@ -452,35 +450,25 @@ def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossC
     frame's depth (depths[1]; else None). It runs once.
     """
     _check_arity(frames, depths, len(poses_rt), cfg)
-    s1, s2 = (None, None) if consts is None else consts.target_stats
-    zero = cfg.scheme == SCHEME_BENCHMARK
+    warps = SCHEME_WARPS[cfg.scheme]
+    stats = (None,) * len(warps) if consts is None else consts.target_stats
+    bench = cfg.scheme == SCHEME_BENCHMARK
+    cur_img, cur_depth = frames[1], depths[1]
 
-    if cfg.scheme == SCHEME_2F:
-        prev_img, cur_img = frames
-        prev_depth, cur_depth = depths
-        R, t = poses_rt[0]
-        Ri, ti = invert_entries(R, t)
-        terms = [_PoseTerms(prev_img, cur_img, prev_depth, cur_depth, K, R, t, cfg, s1, zero),
-                 _PoseTerms(cur_img, prev_img, cur_depth, prev_depth, K, Ri, ti, cfg, s2, zero)]
-    else:
-        prev_img, cur_img, next_img = frames
-        prev_depth, cur_depth, next_depth = depths
-        (R1, t1), (R2, t2) = poses_rt
-        terms = [_PoseTerms(prev_img, cur_img, prev_depth, cur_depth, K, R1, t1, cfg, s1,
-                            zero),
-                 _PoseTerms(next_img, cur_img, None if zero else next_depth, cur_depth, K,
-                            R2, t2, cfg, s2, zero)]
-    pa, pb = terms
-    if zero:
-        photo, photo_back = _min_mean(pa.e, pb.e)
-        n_p = n_d = int(pa.e.size)
-        depth_l = float(np.mean(pa.d))
-
-        def depth_back(g):
-            return np.full(pa.d.shape, g / float(pa.d.size)), None
-    else:
-        photo, n_p, photo_back = _masked_min_mean([pa.e, pb.e], [pa.mask, pb.mask])
-        depth_l, n_d, depth_back = _masked_min_mean([pa.d, pb.d], [pa.dmask, pb.dmask])
+    terms = []
+    for (src, tgt, k, inverted), s in zip(warps, stats):
+        R, t = invert_entries(*poses_rt[k]) if inverted else poses_rt[k]
+        # the benchmark's one depth term is the first warp's
+        src_depth = None if bench and terms else depths[src]
+        terms.append(_PoseTerms(frames[src], frames[tgt], src_depth, depths[tgt], K, R, t,
+                                cfg, s, bench))
+    # the unmasked benchmark is the masked aggregation with every pixel valid
+    valid = np.ones(cur_img.shape, dtype=bool) if bench else None
+    photo, n_p, photo_back = _masked_min_mean(
+        [term.e for term in terms], [term.mask if valid is None else valid for term in terms])
+    dterms = [term for term in terms if term.d is not None]
+    depth_l, n_d, depth_back = _masked_min_mean(
+        [term.d for term in dterms], [term.dmask if valid is None else valid for term in dterms])
 
     smooth = None if consts is None else consts.smoothness
     smooth_back = None
@@ -497,28 +485,25 @@ def total_loss_generic(frames, depths, poses_rt, K: CameraIntrinsics, cfg: LossC
                                "of the arrays its forward kept")
         g = float(g)
         de = photo_back(g)
-        dd = depth_back(cfg.lambda1 * g)
+        # the depth terms lead the warps (the benchmark's second has none)
+        dd = (*depth_back(cfg.lambda1 * g), None)
         d_depth = None
         if with_depth:
             if smooth_back is None:
                 raise ContractViolation("a fixed smoothness term has no depth gradient")
             d_depth = smooth_back(cfg.lambda2 * g) / -(cur_depth * cur_depth)
-        two_f = cfg.scheme == SCHEME_2F
-        out = []
-        for j, term in enumerate(terms):
-            # the current depth is every pose's warp depth except 2f's
-            # inverse, where it is the depth term's source instead
-            on_cur = not (two_f and j == 1)
-            dR, dt, d_dep, d_src = term.vjp(K, de[j], dd[j], with_depth and on_cur,
-                                            with_depth and not on_cur)
-            out.append((dR, dt))
+        out = [None] * len(poses_rt)
+        for (src, tgt, k, inverted), term, de_j, dd_j in zip(warps, terms, de, dd):
+            # the current depth enters as the warp's target or its source
+            dR, dt, d_dep, d_src = term.vjp(K, de_j, dd_j, with_depth and tgt == 1,
+                                            with_depth and src == 1)
+            if inverted:
+                dR, dt = invert_entries_vjp(*poses_rt[k], dR, dt)
+            out[k] = (dR, dt) if out[k] is None else (out[k][0] + dR, out[k][1] + dt)
             for d in (d_dep, d_src):
                 if d is not None:
                     d_depth += d
         terms.clear()
-        if two_f:
-            dRi, dti = invert_entries_vjp(R, t, *out[1])
-            out = [(out[0][0] + dRi, out[0][1] + dti)]
         return out, d_depth
 
     return total, diag, vjp

@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .evalign import TrajectoryEstimate
 from .geometry import ContractViolation, SE3Pose, se3_exp, se3_exp_entries, se3_exp_vjp
-from .losses import (SCHEME_2F, DegenerateBatchError, LossConfig, LossDiagnostics,
+from .losses import (SCHEME_FRAMES, DegenerateBatchError, LossConfig, LossDiagnostics,
                      pair_constants, total_loss_generic)
 
 DEPTH_MODES = ("gt-scaled", "optimize")
@@ -92,7 +92,7 @@ class PoseEstimate:
 
 
 def _n_twists(cfg: LossConfig):
-    return 1 if cfg.scheme == SCHEME_2F else 2
+    return SCHEME_FRAMES[cfg.scheme] - 1
 
 
 def _check_consts(consts, depth_log):
@@ -204,12 +204,11 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
     theta = np.zeros(6 * n) if init is None else np.asarray(init, dtype=np.float64).copy()
     if theta.shape != (6 * n,) or not np.all(np.isfinite(theta)):
         raise ContractViolation(f"init twist must be a finite ({6 * n},) vector")
-    dlog = np.log(depths[-1 if cfg.scheme == SCHEME_2F else 1]) \
-        if opt.depth_mode == "optimize" else None
+    dlog = np.log(depths[1]) if opt.depth_mode == "optimize" else None
     if consts is None:
         consts = pair_constants(frames, cfg, None if dlog is not None else depths)
 
-    z_bar = float(np.mean(depths[-1 if cfg.scheme == SCHEME_2F else 1]))
+    z_bar = float(np.mean(depths[1]))
     f_bar = 0.5 * (K.fx + K.fy)
     precond = np.tile(np.concatenate([
         np.full(3, z_bar ** 2), np.full(3, 1.0)]), n)
@@ -290,21 +289,22 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
     """Chain pairwise estimates over a frame list (constant-velocity warm
     start). Returns (estimates, TrajectoryEstimate, cam_velocities).
 
-    For the 2f scheme, pair i covers frames (i-1, i); the triplet schemes
-    estimate over (i-1, i, i+1) and report the cur->prev transform, so
-    the final pair is dropped. Failed pairs are marked not-converged and
-    keep their warm-start twist. Each pair's `pair_constants` are built
-    once and serve its warm-start check and its estimates, and a warm
-    twist that wins the check is not evaluated again: its kept forward is
+    Estimate i covers the scheme's `SCHEME_FRAMES` frames from i-1 on:
+    (i-1, i) for 2f, (i-1, i, i+1) for the triplet schemes, which report
+    the cur->prev transform, so m frames give m - SCHEME_FRAMES + 1
+    estimates. Failed pairs are marked not-converged and keep their
+    warm-start twist. Each pair's `pair_constants` are built once and
+    serve its warm-start check and its estimates, and a warm twist that
+    wins the check is not evaluated again: its kept forward is
     `estimate_pose`'s start.
     """
     m = len(frames)
-    if m < 2:
-        raise ContractViolation("need at least two frames")
     n = _n_twists(cfg)
+    if m < n + 1:
+        raise ContractViolation(f"scheme {cfg.scheme} needs at least {n + 1} frames")
     frames = [np.asarray(f, dtype=np.float64) for f in frames]
     depths = [np.asarray(d, dtype=np.float64) for d in depths]
-    last = m if n == 1 else m - 1
+    last = m + 1 - n
 
     estimates = []
     warm = np.zeros(6 * n)
@@ -312,12 +312,7 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
     pose_acc = SE3Pose.identity()
     cam_vel = []
     for i in range(1, last):
-        if n == 1:
-            fr = [frames[i - 1], frames[i]]
-            dp = [depths[i - 1], depths[i]]
-        else:
-            fr = [frames[i - 1], frames[i], frames[i + 1]]
-            dp = [depths[i - 1], depths[i], depths[i + 1]]
+        fr, dp = frames[i - 1:i + n], depths[i - 1:i + n]
         consts = pair_constants(fr, cfg, None if opt.depth_mode == "optimize" else dp)
         # a poisoned warm start locks the whole chain into a bad basin:
         # seed from whichever of {previous twist, zero} scores lower. The

@@ -508,6 +508,9 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "estimate stride=0": ("estimate", "stride=0\n"),
     "estimate stride=-2": ("estimate", "stride=-2\n"),
     "estimate max_pairs=-1": ("estimate", "max_pairs=-1\n"),
+    # GEN_SMALL's 41 frames at stride 40 are a pair, too few for a triplet
+    "estimate scheme=3f stride=40": ("estimate", "scheme=3f\nstride=40\n"),
+    "estimate scheme=benchmark stride=40": ("estimate", "scheme=benchmark\nstride=40\n"),
     "train-model window_max=inf": ("train-model", "window_max=inf\n"),
     "train-model lr=nan": ("train-model", "lr=nan\n"),
     "train-model lr_final=-1": ("train-model", "lr_final=-1\n"),

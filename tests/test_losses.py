@@ -6,12 +6,12 @@ import pytest
 
 from conftest import small_intrinsics, smooth_image
 
-from selfvio.geometry import SE3Pose, se3_exp
-from selfvio.losses import (SCHEME_2F, SCHEME_3F, SCHEME_BENCHMARK,
+from selfvio.geometry import ContractViolation, SE3Pose, pose_entries, se3_exp
+from selfvio.losses import (SCHEME_2F, SCHEME_3F, SCHEME_BENCHMARK, SCHEME_FRAMES, SCHEMES,
                             DegenerateBatchError, LossConfig, appearance_loss,
                             depth_consistency_error, masked_min_depth,
-                            masked_min_photometric, smoothness_loss, ssim_loss,
-                            total_loss)
+                            masked_min_photometric, pair_constants, smoothness_loss,
+                            ssim_loss, total_loss, total_loss_generic)
 
 # --- scalar SSIM oracle -----------------------------------------------------
 
@@ -260,6 +260,26 @@ def test_total_loss_arity_validation(rng):
     img = rng.random((8, 8))
     with pytest.raises(Exception):
         total_loss([img], [img + 1], SE3Pose.identity(), K, LossConfig(scheme=SCHEME_2F))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_wrong_frame_depth_or_pose_count_is_contract_violation(rng, scheme):
+    """Each scheme takes SCHEME_FRAMES frames and depths and one transform
+    fewer; one more or one less of any of them is refused."""
+    K = small_intrinsics(16, 12, f=15.0)
+    n = SCHEME_FRAMES[scheme]
+    frames = [smooth_image(rng, 12, 16) for _ in range(n + 1)]
+    depths = [2.0 + rng.random((12, 16)) for _ in range(n + 1)]
+    poses = [pose_entries(SE3Pose.identity())] * n
+    cfg = LossConfig(scheme=scheme)
+    total_loss_generic(frames[:n], depths[:n], poses[:n - 1], K, cfg)
+    for f, d, p in ((n - 1, n, n - 1), (n + 1, n, n - 1), (n, n - 1, n - 1),
+                    (n, n + 1, n - 1), (n, n, n - 2), (n, n, n)):
+        with pytest.raises(ContractViolation):
+            total_loss_generic(frames[:f], depths[:d], poses[:p], K, cfg)
+        if p == n - 1:
+            with pytest.raises(ContractViolation):
+                pair_constants(frames[:f], cfg, depths[:d])
 
 
 def test_two_frame_inverse_consistency(rng):

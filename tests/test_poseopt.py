@@ -10,7 +10,7 @@ from selfvio import autodiff as ad
 from selfvio import poseopt
 from selfvio.geometry import (ContractViolation, SE3Pose, invert_entries, se3_exp,
                               se3_exp_entries, se3_log, warp_grid)
-from selfvio.losses import (SCHEME_2F, SCHEME_BENCHMARK, SCHEMES, LossConfig,
+from selfvio.losses import (SCHEME_2F, SCHEME_BENCHMARK, SCHEME_FRAMES, SCHEMES, LossConfig,
                             pair_constants)
 from selfvio.poseopt import (DEPTH_MODES, OptimizerConfig, _loss_only, estimate_pose,
                              loss_and_grad, run_sequence, sweep_losses)
@@ -131,6 +131,26 @@ def test_run_sequence_static(rng):
                                    OptimizerConfig(), LossConfig(scheme=SCHEME_2F))
     assert all(np.linalg.norm(e.twist) < 1e-9 for e in ests)
     assert np.max(np.abs(traj.pos)) < 1e-9
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_sequence_gives_one_estimate_per_window(rng, scheme):
+    """m frames give m - SCHEME_FRAMES + 1 estimates, each with the
+    scheme's transforms, and a trajectory of one sample more; fewer than
+    SCHEME_FRAMES frames are refused."""
+    K = small_intrinsics(24, 18, f=22.0)
+    img = smooth_image(rng, 18, 24)
+    depth = 2.0 + rng.random((18, 24))
+    k = SCHEME_FRAMES[scheme]
+    for m in (k, 5):
+        ests, traj, vel = run_sequence([img] * m, [depth] * m, np.arange(m) * 0.1, K,
+                                       OptimizerConfig(), LossConfig(scheme=scheme))
+        assert len(ests) == len(vel) == m - k + 1
+        assert len(traj.t) == len(traj.pos) == len(ests) + 1
+        assert all((e.twist2 is None) == (k == 2) for e in ests)
+    with pytest.raises(ContractViolation):
+        run_sequence([img] * (k - 1), [depth] * (k - 1), np.arange(k - 1) * 0.1, K,
+                     OptimizerConfig(), LossConfig(scheme=scheme))
 
 
 def test_run_sequence_straight_line(rng):
