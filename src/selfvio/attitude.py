@@ -23,6 +23,7 @@ from .synth import G_WORLD, GRAVITY
 GAIN = 0.02                 # accepted correction per sample (rad per unit tilt)
 GATE = (0.95, 1.05)         # accepted |accel| / g, closed interval
 INIT_WINDOW = 0.5           # seconds of accel averaged for the initial tilt
+_UP = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass
@@ -58,8 +59,7 @@ class AttitudeFilter:
         norm = _norm(accel)
         if not (GATE[0] <= norm / GRAVITY <= GATE[1]):
             return np.zeros(3)
-        up_est = state.rotation_bw() @ np.array([0.0, 0.0, 1.0])
-        return GAIN * _cross(up_est, accel / norm)
+        return _correction(state.q_bw, accel / norm)
 
     def accel_update(self, state: AttitudeState, accel) -> AttitudeState:
         """Gated complementary correction toward the measured gravity."""
@@ -88,24 +88,60 @@ class AttitudeFilter:
         return AttitudeState(quat_from_axis_angle(axis, ang), t)
 
     def run(self, t, gyro, accel):
-        """Filter a whole IMU stream.
+        """Filter a whole IMU stream: bitwise `propagate` then `accel_update`
+        at each sample.
 
         Initializes from the first INIT_WINDOW seconds of accel averages.
-        Returns (quaternions (N,4) body<-world, gravity_body (N,3)).
+        The gyro increments, the accel gate and the unit accel samples
+        depend on no state, so they are array ops before the loop, which
+        keeps only the quaternion products, the normalizations and the
+        gated correction. Returns (quaternions (N,4) body<-world,
+        gravity_body (N,3)).
         """
         t = np.asarray(t, dtype=np.float64)
         gyro = np.asarray(gyro, dtype=np.float64)
         accel = np.asarray(accel, dtype=np.float64)
         n = len(t)
+        dt = np.diff(t)
+        if np.any(dt <= 0):
+            raise ContractViolation("dt must be positive")
         k = max(1, int(np.searchsorted(t, t[0] + INIT_WINDOW)))
-        state = self.init_from_accel(accel[:k].mean(axis=0), t[0])
+        q = self.init_from_accel(accel[:k].mean(axis=0), t[0]).q_bw
+        # quat_from_axis_angle(w, -|w| dt) of every gyro sample
+        w = gyro[:-1]
+        w_norm = _row_norms(w)
+        half = 0.5 * (-w_norm * dt)
+        dq = np.empty((n - 1, 4))
+        dq[:, 0] = np.cos(half)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dq[:, 1:] = np.sin(half)[:, None] * w / w_norm[:, None]
+            a_norm = _row_norms(accel)
+            unit = accel / a_norm[:, None]
+        dq[w_norm == 0.0] = (1.0, 0.0, 0.0, 0.0)
+        ratio = a_norm / GRAVITY
+        gate = ((GATE[0] <= ratio) & (ratio <= GATE[1])).tolist()
         quats = np.empty((n, 4))
-        g_body = np.empty((n, 3))
-        quats[0] = state.q_bw
-        g_body[0] = self.gravity_body(state)
+        quats[0] = q
         for i in range(1, n):
-            state = self.propagate(state, gyro[i - 1], t[i] - t[i - 1])
-            state = self.accel_update(state, accel[i])
-            quats[i] = state.q_bw
-            g_body[i] = self.gravity_body(state)
-        return quats, g_body
+            q = quat_mul(dq[i - 1], q)
+            q = q / _norm(q)
+            if gate[i]:
+                corr = _correction(q, unit[i])
+                ang = _norm(corr)
+                if ang != 0.0:
+                    q = quat_mul(quat_from_axis_angle(corr, ang), q)
+                    q = q / _norm(q)
+            quats[i] = q
+        return quats, quat_to_matrix(quats) @ G_WORLD
+
+
+def _row_norms(v):
+    """`_norm` of each row of v (n, 3), bitwise: sqrt of a stacked
+    (1,3) @ (3,1) product."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _correction(q_bw, unit_accel):
+    """GAIN * (estimated up x measured up): the correction rotation for an
+    accepted sample."""
+    return GAIN * _cross(quat_to_matrix(q_bw) @ _UP, unit_accel)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ContractViolation, rotvec_to_matrix
+from .geometry import ContractViolation, rotvec_to_matrices
 
 LAYER_SIZES = (11, 45, 45, 45, 3)
 MODEL_FORMAT = "selfvio-drone-model"
@@ -137,53 +137,38 @@ def load_params(path) -> DroneModelParams:
 
 
 # --------------------------------------------------------------------------
-# MLP forward/backward
+# MLP forward
 
 
-def _rowwise_dot(h, Wt):
-    """np.dot(h, Wt) as one matrix-vector product per row of h (B, k), so
-    that each row is bitwise what np.dot gives it alone; a (B, k) matrix
-    product sums in an order that depends on B."""
-    return np.matmul(h[:, None, :], Wt)[:, 0]
+def _rowwise_dot(h, Wt, out=None):
+    """np.dot(h, Wt, out=out) as one matrix-vector product per row of h
+    (B, k), so that each row is bitwise what np.dot gives it alone; a
+    (B, k) matrix product sums in an order that depends on B."""
+    return np.matmul(h[:, None, :], Wt, out=None if out is None else out[:, None, :])[:, 0]
+
+
+def _mlp_layers(params: DroneModelParams, acts, dot=np.dot, th=None):
+    """The MLP on its z-scored inputs acts[0] (..., 11): each hidden layer
+    is written into the buffer acts[li], and the output layer's tanh is
+    returned (into `th` when given), th = tanh(z/2), whose outputs are
+    (d_x, d_y, eps) = th * _OUT_GAIN + _OUT_MID."""
+    for li in range(1, len(acts)):
+        h = dot(acts[li - 1], params.weights[li - 1].T, out=acts[li])
+        h += params.biases[li - 1]
+        np.tanh(h, out=h)
+    return np.tanh(0.5 * (dot(acts[-1], params.weights[-1].T) + params.biases[-1]), out=th)
 
 
 def _mlp_forward(params: DroneModelParams, x_raw, rowwise=False):
-    """x_raw: (B, 11) -> outputs (B, 3) = (d_x, d_y, eps) plus cache.
-    rowwise: each row's output does not depend on the batch (`_rowwise_dot`)."""
+    """x_raw: (B, 11) -> outputs (B, 3) = (d_x, d_y, eps) plus the layer
+    inputs and th. rowwise: each row's output does not depend on the batch
+    (`_rowwise_dot`)."""
     # np.dot: less per-call cost than @
     dot = _rowwise_dot if rowwise and len(x_raw) > 1 else np.dot
-    xn = (x_raw - params.norm_mean) / params._norm_div
-    h = xn
-    acts = [xn]
-    for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.tanh(dot(h, W.T) + b)
-        acts.append(h)
-    th = np.tanh(0.5 * (dot(h, params.weights[-1].T) + params.biases[-1]))
+    acts = [(x_raw - params.norm_mean) / params._norm_div]
+    acts += [np.empty((len(x_raw), n)) for n in LAYER_SIZES[1:-1]]
+    th = _mlp_layers(params, acts, dot)
     return th * _OUT_GAIN + _OUT_MID, (acts, th)
-
-
-def _mlp_backward(params: DroneModelParams, cache, d_out):
-    """Reverse of `_mlp_forward`: the grad w.r.t. x_raw, and dzs[li], the
-    grad at layer li's pre-activation (for `_add_mlp_grads`)."""
-    acts, th = cache
-    dz = d_out * (0.5 * _OUT_GAIN) * (1.0 - th * th)
-    dzs = [None] * len(params.weights)
-    for li in range(len(params.weights) - 1, -1, -1):
-        dzs[li] = dz
-        dh = np.dot(dz, params.weights[li])
-        if li == 0:
-            return dh / params._norm_div, dzs
-        dz = dh * (1.0 - acts[li] ** 2)
-
-
-def _add_mlp_grads(grads, calls):
-    """Add the weight and bias grads of a run of MLP calls into `grads`, one
-    matrix product per layer; calls[k] = (acts of `_mlp_forward`, dzs)."""
-    for li in range(len(grads["weights"])):
-        dz = np.concatenate([dzs[li] for _, dzs in calls])
-        act = np.concatenate([acts[li] for acts, _ in calls])
-        grads["weights"][li] += dz.T @ act
-        grads["biases"][li] += dz.sum(axis=0)
 
 
 def _features(vb, az, gyro, rpm):
@@ -213,39 +198,19 @@ def model_forward(params: DroneModelParams, vb, accel_z, gyro, rpm):
 # velocity recurrence
 
 
-def _specific_force(params: DroneModelParams, vb, az, gyro, rpm, rowwise=False):
-    """The model's specific force for a batch: the bracket
-    (-d_x vb_x, -d_y vb_y, a_z - eps) of the recurrence, shape (B, 3),
-    plus the cache its reverse needs."""
-    out, mlp_cache = _mlp_forward(params, _features(vb, az, gyro, rpm), rowwise)
+def _bracket(out, vb, az):
+    """The recurrence's specific force (-d_x vb_x, -d_y vb_y, a_z - eps)
+    from the MLP outputs (..., 3)."""
     f = -out * vb
-    f[:, 2] = az - out[:, 2]
-    return f, (vb, out, mlp_cache)
+    f[..., 2] = az - out[..., 2]
+    return f
 
 
-def _velocity_step(params: DroneModelParams, vb, az, gyro, rpm, g_b, dt, R_step):
-    """One IMU step of the recurrence for B states at once.
-
-    vb, gyro, g_b: (B,3); az, dt: (B,); rpm: (B,4); R_step: (B,3,3).
-    Returns vb' = R_step^T (vb + (f + g_b) dt), the bracket f and the
-    cache for `_velocity_step_vjp`.
-    """
-    f, cache = _specific_force(params, vb, az, gyro, rpm)
-    u = vb + (f + g_b) * dt[:, None]
-    return np.einsum("bji,bj->bi", R_step, u), f, cache
-
-
-def _velocity_step_vjp(params: DroneModelParams, cache, R_step, dt, lam):
-    """Reverse of `_velocity_step`: lam = dL/dvb' (B,3) -> dL/dvb, plus
-    the step's MLP dzs for `_add_mlp_grads`."""
-    vb, out, mlp_cache = cache
-    du = np.einsum("bij,bj->bi", R_step, lam)
-    df = du * dt[:, None]
-    d_out = -df
-    d_out[:, :2] *= vb[:, :2]
-    dx_raw, dzs = _mlp_backward(params, mlp_cache, d_out)
-    du[:, :2] -= out[:, :2] * df[:, :2]
-    return du + dx_raw[:, :3], dzs
+def _specific_force(params: DroneModelParams, vb, az, gyro, rpm, rowwise=False):
+    """The model's specific force for a batch: the bracket of the
+    recurrence, shape (B, 3)."""
+    out, _ = _mlp_forward(params, _features(vb, az, gyro, rpm), rowwise)
+    return _bracket(out, vb, az)
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +315,7 @@ class PreparedSequence:
 def prepare_sequence(seq: TrainSequence, cutoff_hz=5.0) -> PreparedSequence:
     n = len(seq.t)
     dt = np.diff(seq.t)
-    R_step = np.stack([rotvec_to_matrix(seq.gyro[i] * dt[i]) for i in range(n - 1)])
+    R_step = rotvec_to_matrices(seq.gyro[:-1] * dt[:, None])
     _, base = teacher_velocity(seq, 1.0, cutoff_hz)
     sample_step = np.searchsorted(seq.t, seq.cam_t)
     sample_step = np.clip(sample_step, 0, n - 1)
@@ -377,24 +342,23 @@ class VelocityRollout:
 
 def rollout(params: DroneModelParams, prep: PreparedSequence, vb0,
             start=0, horizon=None) -> VelocityRollout:
-    """Open-loop velocity integration over `horizon` IMU steps."""
+    """Open-loop velocity integration over `horizon` IMU steps: the window
+    loop at B=1. Raises DivergenceError naming the first step whose state
+    is not finite."""
     n = len(prep.dt)
     if horizon is None:
         horizon = n - start
     if start < 0 or start + horizon > n:
         raise ContractViolation("rollout horizon exceeds the sequence")
-    vel = np.empty((horizon + 1, 3))
-    sf = np.empty((horizon, 3))
-    vel[0] = vb0
-    vb = vel[:1].copy()
-    for j in range(horizon):
-        i = slice(start + j, start + j + 1)
-        vb, f, _ = _velocity_step(params, vb, prep.az[i], prep.gyro[i], prep.rpm[i],
-                                  prep.g_b[i], prep.dt[i], prep.R_step[i])
-        if not np.all(np.isfinite(vb)):
-            raise DivergenceError(f"rollout diverged at step {start + j}")
-        vel[j + 1] = vb[0]
-        sf[j] = f[0]
+    w = slice(start, start + horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vel, th, _ = _run_window(params, np.reshape(vb0, (1, 3)).astype(np.float64),
+                                 *(getattr(prep, name)[w, None] for name in _STEP_INPUTS))
+    vel = vel[:, 0]
+    bad = ~np.isfinite(vel[1:]).all(axis=1)
+    if bad.any():
+        raise DivergenceError(f"rollout diverged at step {start + int(np.argmax(bad))}")
+    sf = _bracket(th[:, 0] * _OUT_GAIN + _OUT_MID, vel[:-1], prep.az[w])
     return VelocityRollout(t=prep.t[start:start + horizon + 1], vel=vel, specific_force=sf)
 
 
@@ -410,47 +374,96 @@ def _zero_grads(params):
     }
 
 
-_STEP_INPUTS = ("az", "gyro", "rpm", "g_b", "dt", "R_step")   # `_velocity_step` order
+_STEP_INPUTS = ("az", "gyro", "rpm", "g_b", "dt", "R_step")   # `_run_window` order
 # rows per weight-grad product in `_window_vjp`: enough to spare the recurrence
 # its per-step cost, few enough that BLAS keeps a 45 x 96 x 45 product on one thread
 _GRAD_ROWS = 96
 
 
-def _run_window(params: DroneModelParams, vb, az, gyro, rpm, g_b, dt, R_step):
-    """Roll `_velocity_step` over a window of L steps for B states.
+def _run_window(params: DroneModelParams, vb, az, gyro, rpm, g_b, dt, R_step,
+                keep=False):
+    """Roll the velocity recurrence over a window of L IMU steps:
 
-    The step inputs are time-major, (L, B, ...). Returns the states
-    (L+1, B, 3), vb first, and the per-step caches for `_window_vjp`.
+        vb' = R_step^T (vb + (f + g_b) dt),  f = `_bracket` of the MLP outputs.
+
+    The step inputs are time-major, (L, B, ...); vb is (B, 3), or (S, B, 3)
+    for S stacks of states that share the inputs (the scale grid). The
+    eight state-free inputs are z-scored for the whole window in one op, so
+    a step does only the work that depends on the state. Returns the
+    states (L+1, ..., 3), vb first, the output layer's tanh th (L, ..., 3)
+    and the layer inputs [(L, B, 11), 3 x (n, ..., 45)] (`_mlp_layers`'s
+    acts): the hidden layers of every step (n = L) with keep, for
+    `_window_vjp`, else of the last step only (n = 1).
     """
-    vel = np.empty((len(dt) + 1,) + vb.shape)
+    L, lead = len(dt), vb.shape[:-1]
+    stacked = vb.ndim == 3
+    # np.matmul over an (S, B, k) stack runs np.dot's product on each (B, k) matrix
+    dot, rotate = (np.matmul, "bji,sbj->sbi") if stacked else (np.dot, "bji,bj->bi")
+    rows = _features(np.zeros((az.size, 3)), az.ravel(), gyro.reshape(-1, 3),
+                     rpm.reshape(-1, 4))
+    free = ((rows - params.norm_mean) / params._norm_div).reshape(az.shape + (11,))
+    mean, div = params.norm_mean[:3], params._norm_div[:3]
+    xs = np.empty(lead + (11,)) if stacked else None
+    hidden = [np.empty(((L if keep else 1),) + lead + (n,)) for n in LAYER_SIZES[1:-1]]
+    th = np.empty((L,) + lead + (3,))
+    vel = np.empty((L + 1,) + vb.shape)
     vel[0] = vb
-    caches = []
-    for j in range(len(dt)):
-        vb, _, cache = _velocity_step(params, vb, az[j], gyro[j], rpm[j],
-                                      g_b[j], dt[j], R_step[j])
-        caches.append(cache)
-        vel[j + 1] = vb
-    return vel, caches
+    dts = dt[..., None]
+    for j in range(L):
+        if stacked:
+            xs[..., 3:] = free[j, :, 3:]
+            x = xs
+        else:
+            x = free[j]
+        vb = vel[j]
+        np.subtract(vb, mean, out=x[..., :3])
+        x[..., :3] /= div
+        k = j if keep else 0
+        _mlp_layers(params, [x] + [h[k] for h in hidden], dot, th[j])
+        f = _bracket(th[j] * _OUT_GAIN + _OUT_MID, vb, az[j])
+        np.einsum(rotate, R_step[j], vb + (f + g_b[j]) * dts[j], out=vel[j + 1])
+    return vel, th, [free] + hidden
 
 
-def _window_vjp(params: DroneModelParams, caches, dt, R_step, dvel, grads):
-    """Reverse of `_run_window`: dvel (L+1, B, 3) = dL/d(states) -> dL/dvb.
+def _window_vjp(params: DroneModelParams, vel, th, acts, dt, R_step, dvel, grads):
+    """Reverse of `_run_window` with keep: dvel (L+1, B, 3) = dL/d(states)
+    -> dL/dvb.
 
-    MLP weight and bias grads accumulate into `grads`, one matrix product
-    per block of about `_GRAD_ROWS` rows. The caches are consumed on the
-    way, so memory falls as the reverse runs.
+    The steps run descending in blocks of max(1, _GRAD_ROWS // B). A block
+    first takes the factors that the reverse state does not enter (1 - a^2
+    of each hidden layer, 1 - th^2, the outputs and d(bracket)/d(outputs))
+    as array ops; each step writes its layer grads dz into block-sized
+    buffers, and the block then adds its MLP weight and bias grads into
+    `grads`, one matrix product per layer, rows in step order descending.
     """
+    L, B = th.shape[:2]
+    per = max(1, _GRAD_ROWS // B)
+    W = params.weights
+    half_gain, div = 0.5 * _OUT_GAIN, params._norm_div[:3]
+    dzs = [np.empty((per, B, n)) for n in LAYER_SIZES[1:]]
+    dts = dt[..., None]
     lam = dvel[-1]
-    per = max(1, _GRAD_ROWS // lam.shape[0])
-    block = []
-    for j in range(len(caches) - 1, -1, -1):
-        cache = caches.pop()
-        dvb, dzs = _velocity_step_vjp(params, cache, R_step[j], dt[j], lam)
-        lam = dvb + dvel[j]
-        block.append((cache[2][0], dzs))
-        if len(block) == per or j == 0:
-            _add_mlp_grads(grads, block)
-            block = []
+    for hi in range(L, 0, -per):
+        blk = slice(max(hi - per, 0), hi)
+        d_th = 1.0 - th[blk] * th[blk]
+        d_act = [1.0 - a[blk] ** 2 for a in acts[1:]]
+        out = th[blk] * _OUT_GAIN + _OUT_MID
+        d_f = -vel[blk]           # d(bracket)/d(outputs): (-vb_x, -vb_y, -1)
+        d_f[..., 2] = -1.0
+        for k, j in enumerate(range(hi - 1, blk.start - 1, -1)):
+            r = j - blk.start
+            du = np.einsum("bij,bj->bi", R_step[j], lam)
+            df = du * dts[j]
+            dz = np.multiply(df * d_f[r] * half_gain, d_th[r], out=dzs[-1][k])
+            for li in range(len(W) - 1, 0, -1):
+                dz = np.multiply(np.dot(dz, W[li]), d_act[li - 1][r], out=dzs[li - 1][k])
+            du[:, :2] -= out[r, :, :2] * df[:, :2]
+            lam = du + np.dot(dz, W[0])[:, :3] / div + dvel[j]
+        n = (hi - blk.start) * B
+        for li, dz in enumerate(dzs):
+            dz = dz[:hi - blk.start].reshape(n, -1)
+            grads["weights"][li] += dz.T @ acts[li][blk][::-1].reshape(n, -1)
+            grads["biases"][li] += dz.sum(axis=0)
     return lam
 
 
@@ -466,7 +479,7 @@ def window_loss_and_grads(params: DroneModelParams, prep: PreparedSequence,
 
 
 def _batched_windows_loss_and_grads(params: DroneModelParams, preps,
-                                    k0s, n_steps, grads):
+                                    k0s, n_steps, grads, scales=None):
     """Vectorized BPTT over a batch of equal-length windows.
 
     Window b starts at teacher sample k0s[b] of preps[b] (which may repeat;
@@ -474,38 +487,47 @@ def _batched_windows_loss_and_grads(params: DroneModelParams, preps,
     per-component MSE against every teacher sample inside it. Returns the
     mean window loss; gradients (divided by the batch size) of the MLP and
     of each sequence's scale accumulate into `grads`. With grads=None only
-    the loss is computed.
+    the loss is computed. With `scales` (S,), the batch runs at each scale
+    s in place of the stored ones, all S in one broadcast forward, and the
+    mean window loss of each, (S,), is returned; grads must then be None.
     """
     B, L = len(preps), n_steps
     i0s = [int(p.sample_step[k0]) for p, k0 in zip(preps, k0s)]
     inputs = [np.stack([getattr(p, name)[i0:i0 + L] for p, i0 in zip(preps, i0s)], axis=1)
               for name in _STEP_INPUTS]
-    scales = np.array([params.scales[p.seq_id] for p in preps])
+    if scales is None:
+        sc = np.array([params.scales[p.seq_id] for p in preps])
+    else:
+        sc = np.repeat(np.asarray(scales, dtype=np.float64)[:, None], B, axis=1)
     base0 = np.stack([p.base_vel[k0] for p, k0 in zip(preps, k0s)])
-    vel, caches = _run_window(params, scales[:, None] * base0, *inputs)
+    vel, th, acts = _run_window(params, sc[..., None] * base0, *inputs,
+                                keep=grads is not None)
 
     # gradients below are of the MEAN window loss (the 1/B rides on dvel)
-    loss = 0.0
+    runs, run_sc = vel.reshape(L + 1, -1, B, 3), sc.reshape(-1, B)
+    loss = np.zeros(len(run_sc))
     ds = np.zeros(B)
-    dvel = np.zeros_like(vel)
+    dvel = None if grads is None else np.zeros_like(vel)
     for b, (p, i0) in enumerate(zip(preps, i0s)):
         ks = np.nonzero((p.sample_step > i0) & (p.sample_step <= i0 + L))[0]
         if len(ks) == 0:
             raise ContractViolation("window contains no teacher samples")
         m, local, base = len(ks), p.sample_step[ks] - i0, p.base_vel[ks]
-        resid = vel[local, b] - scales[b] * base
-        loss += float(np.sum(resid ** 2) / (3 * m))
-        np.add.at(dvel[:, b], local, 2.0 * resid / (3 * m * B))
-        ds[b] = float(np.sum(-2.0 * resid / (3 * m * B) * base))
+        for r, s in enumerate(run_sc[:, b]):
+            resid = runs[local, r, b] - s * base
+            loss[r] += float(np.sum(resid ** 2) / (3 * m))
+        if grads is not None:
+            np.add.at(dvel[:, b], local, 2.0 * resid / (3 * m * B))
+            ds[b] = float(np.sum(-2.0 * resid / (3 * m * B) * base))
     loss /= B
     if grads is None:
-        return loss
+        return loss if scales is not None else float(loss[0])
 
-    lam = _window_vjp(params, caches, *inputs[-2:], dvel, grads)   # dt, R_step
+    lam = _window_vjp(params, vel, th, acts, *inputs[-2:], dvel, grads)   # dt, R_step
     ds += np.einsum("bi,bi->b", lam, base0)
     for b, p in enumerate(preps):
         grads["scales"][p.seq_id] += ds[b]
-    return loss
+    return float(loss[0])
 
 
 # train() gives up once the batch loss has stayed above DIVERGENCE_FACTOR
@@ -572,17 +594,18 @@ def compute_norm_stats(prepared, init_scale=1.0):
 
 def _grid_init_scales(params, prepared, rng):
     """Coarse per-sequence scale init: probe window losses over a grid
-    with the freshly initialized MLP and keep each sequence's argmin."""
+    with the freshly initialized MLP and keep each sequence's argmin. The
+    13 scales run as one broadcast forward per sequence."""
+    grid = np.geomspace(0.25, 4.0, 13)
     for p in prepared:
         rate = 1.0 / float(np.median(p.dt))
         n_steps = min(int(round(1.5 * rate)), len(p.dt) - 1)
         kmax = max(1, int(np.searchsorted(p.sample_step, len(p.dt) - n_steps)) - 1)
         anchors = [int(rng.integers(0, kmax)) for _ in range(4)]
+        losses = _batched_windows_loss_and_grads(params, [p] * len(anchors), anchors,
+                                                 n_steps, None, grid)
         best = (np.inf, params.scales[p.seq_id])
-        for s in np.geomspace(0.25, 4.0, 13):
-            params.scales[p.seq_id] = float(s)
-            loss = _batched_windows_loss_and_grads(params, [p] * len(anchors), anchors,
-                                                   n_steps, None)
+        for s, loss in zip(grid, losses):
             if loss < best[0]:
                 best = (loss, float(s))
         params.scales[p.seq_id] = best[1]

@@ -75,7 +75,7 @@ def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm):
     one body velocity (3,), or at each row of a (B, 3) stack under the same
     IMU and motor sample; each row is bitwise its single call."""
     vb = np.asarray(vb, dtype=np.float64)
-    f, _ = _specific_force(params, vb.reshape(-1, 3), accel[2], gyro, rpm, rowwise=True)
+    f = _specific_force(params, vb.reshape(-1, 3), accel[2], gyro, rpm, rowwise=True)
     return f.reshape(vb.shape)
 
 

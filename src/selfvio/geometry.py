@@ -208,6 +208,25 @@ def rotvec_to_matrix(phi):
     return np.eye(3) + A * K + B * (K @ K)
 
 
+def rotvec_to_matrices(phi):
+    """`rotvec_to_matrix` of each row of phi (n, 3), bitwise, as array ops:
+    t2 is a stacked (1,3) @ (3,1) product (as phi @ phi), A and B run the
+    series by Horner's rule, and rows with t2 >= 1 take the closed form."""
+    t2 = np.matmul(phi[:, None, :], phi[:, :, None])[:, 0, 0]
+    A = B = 0.0
+    for a, b, _ in _SERIES:
+        A, B = A * t2 + a, B * t2 + b
+    big = ~(t2 < 1.0)
+    if big.any():
+        th = np.sqrt(t2[big])
+        A[big] = np.sin(th) / th
+        B[big] = (1.0 - np.cos(th)) / t2[big]
+    K = np.zeros((len(phi), 3, 3))
+    K[:, [2, 0, 1], [1, 2, 0]] = phi
+    K[:, [1, 2, 0], [2, 0, 1]] = -phi
+    return np.eye(3) + A[:, None, None] * K + B[:, None, None] * (K @ K)
+
+
 def skew(v):
     return np.array([[0.0, -v[2], v[1]],
                      [v[2], 0.0, -v[0]],

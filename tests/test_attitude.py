@@ -1,9 +1,10 @@
 """Attitude filter: propagation, gated corrections, gravity output."""
 
 import numpy as np
+import pytest
 
 from selfvio.attitude import AttitudeFilter, AttitudeState
-from selfvio.geometry import quat_from_axis_angle
+from selfvio.geometry import ContractViolation, quat_from_axis_angle
 
 G = 9.81
 
@@ -183,3 +184,15 @@ def test_run_is_bitwise_the_numpy_reference():
     q_run, g_run = AttitudeFilter().run(t, gyro, accel)
     assert np.array_equal(q_run, np.array(quats))
     assert np.array_equal(g_run, np.array(g_body))
+
+
+def test_run_rejects_a_repeated_timestamp():
+    f = AttitudeFilter()
+    t = np.arange(20) * 0.002
+    t[7] = t[6]
+    gyro = np.zeros((20, 3))
+    accel = np.tile([0.0, 0.0, G], (20, 1))
+    with pytest.raises(ContractViolation):
+        f.run(t, gyro, accel)
+    with pytest.raises(ContractViolation):
+        f.propagate(level_state(), gyro[6], t[7] - t[6])

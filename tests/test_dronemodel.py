@@ -2,20 +2,24 @@
 pipeline, training recovery smoke, serialization."""
 
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import bptt_oracle
 from conftest import constant_output_model, recovery_sequence
 
-from selfvio.dronemodel import (DroneModelParams, ShortSequence, TrainConfig,
-                                TrainSequence, _batched_windows_loss_and_grads,
-                                _flatten, _mlp_forward, _unflatten_into,
-                                _zero_grads, init_params, load_params, model_forward,
-                                prepare_sequence, rollout, save_params,
-                                smooth_teacher, teacher_velocity, train,
-                                window_loss_and_grads)
-from selfvio.geometry import ContractViolation
+from selfvio.dronemodel import (_GRAD_ROWS, DivergenceError, DroneModelParams,
+                                ShortSequence, TrainConfig, TrainSequence,
+                                _batched_windows_loss_and_grads, _flatten,
+                                _grid_init_scales, _mlp_forward, _unflatten_into,
+                                _zero_grads, compute_norm_stats, init_params,
+                                load_params, model_forward, prepare_sequence,
+                                rollout, save_params, smooth_teacher,
+                                teacher_velocity, train, window_loss_and_grads)
+from selfvio.geometry import ContractViolation, rotvec_to_matrix
 from selfvio.synth import R_CB
 
 
@@ -167,6 +171,53 @@ def test_drag_decays_planar_speed():
         assert np.all(np.diff(planar) <= 1e-12)
 
 
+def test_rollout_is_bitwise_the_per_step_chain():
+    seq, sim, prep = _prep(noise_std=0.05)
+    rng = np.random.default_rng(6)
+    params = init_params(rng, *compute_norm_stats([prep]), scales={"a": 1.0})
+    for start, horizon, vb0 in ((0, None, np.zeros(3)), (37, 1500, [1.0, -0.5, 0.2])):
+        got = rollout(params, prep, np.array(vb0), start=start, horizon=horizon)
+        want = bptt_oracle.rollout(params, prep, np.array(vb0), start=start, horizon=horizon)
+        assert np.array_equal(got.t, want.t)
+        assert np.array_equal(got.vel, want.vel)
+        assert np.array_equal(got.specific_force, want.specific_force)
+
+
+@pytest.mark.parametrize("k", [0, 1, 250])
+def test_rollout_names_the_first_non_finite_step(k):
+    """A NaN gyro sample at window step k ends the rollout in a
+    DivergenceError naming step start + k, with no numpy warning."""
+    seq, sim, _ = _prep()
+    params = init_params(np.random.default_rng(2), scales={"a": 1.0})
+    start = 40
+    gyro = seq.gyro.copy()
+    gyro[start + k, 1] = np.nan
+    seq = TrainSequence(seq_id="a", t=seq.t, gyro=gyro, accel=seq.accel, rpm=seq.rpm,
+                        g_body=seq.g_body, cam_t=seq.cam_t, v_cam=seq.v_cam, R_cb=seq.R_cb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prep = prepare_sequence(seq)
+        with pytest.raises(DivergenceError, match=f"diverged at step {start + k}$"):
+            rollout(params, prep, np.array([1.0, 0.0, 0.0]), start=start, horizon=600)
+
+
+def test_prepared_step_rotations_are_rotvec_to_matrix():
+    """R_step is bitwise rotvec_to_matrix(gyro * dt) row by row, on rows of
+    the series branch and on rows with |gyro dt| >= 1 rad (closed form)."""
+    seq, _, _ = _prep()
+    rng = np.random.default_rng(8)
+    gyro = seq.gyro.copy()
+    gyro[::7] = rng.normal(scale=3.0, size=gyro[::7].shape)
+    gyro[::11] = rng.normal(scale=1500.0, size=gyro[::11].shape)
+    gyro[5] = 0.0
+    dt = np.diff(seq.t)
+    assert np.sum(np.linalg.norm(gyro[:-1] * dt[:, None], axis=1) >= 1.0) > 20
+    seq = TrainSequence(seq_id="a", t=seq.t, gyro=gyro, accel=seq.accel, rpm=seq.rpm,
+                        g_body=seq.g_body, cam_t=seq.cam_t, v_cam=seq.v_cam, R_cb=seq.R_cb)
+    want = np.stack([rotvec_to_matrix(g * d) for g, d in zip(gyro[:-1], dt)])
+    assert np.array_equal(prepare_sequence(seq).R_step, want)
+
+
 # --- teacher ------------------------------------------------------------------
 
 
@@ -262,6 +313,73 @@ def test_batched_bptt_equals_single():
     f2, _ = _flatten(params, g2)
     assert abs(tot / 3 - l2) < 1e-12
     assert np.max(np.abs(f1 / 3 - f2)) < 1e-12
+
+
+@pytest.mark.parametrize("B", [1, 6])
+@pytest.mark.parametrize("L", [150, 10])
+def test_window_bptt_is_bitwise_the_per_step_chain(B, L):
+    """The window loop's loss and every weight, bias and scale gradient are
+    bitwise the per-step chain's, for a window that ends inside a weight-grad
+    block (L = 150) and one shorter than a block (L = 10)."""
+    assert L % (_GRAD_ROWS // B) != 0 or L < _GRAD_ROWS // B
+    _, _, pa = _prep(noise_std=0.05, sid="a")
+    _, _, pb = _prep(seed=2, noise_std=0.02, sid="b")
+    params = init_params(np.random.default_rng(7), *compute_norm_stats([pa, pb]),
+                         scales={"a": 1.3, "b": 0.8})
+    preps = [pa, pb, pa, pa, pb, pa][:B]
+    k0s = [150, 20, 77, 3, 160, 120][:B]
+    g = _zero_grads(params)
+    loss = _batched_windows_loss_and_grads(params, preps, k0s, L, g)
+    want_loss, want = bptt_oracle.loss_and_grads(params, preps, k0s, L)
+    assert loss == want_loss
+    assert _batched_windows_loss_and_grads(params, preps, k0s, L, None) == want_loss
+    for key in ("weights", "biases"):
+        for got, ref in zip(g[key], want[key]):
+            assert np.array_equal(got, ref), key
+    assert g["scales"] == want["scales"]
+
+
+def test_scale_grid_is_the_per_scale_loop():
+    """The one broadcast forward of the scale grid gives, bitwise, the 13
+    per-scale losses, and _grid_init_scales picks the per-scale loop's
+    scale on two sequences."""
+    _, _, pa = _prep(noise_std=0.05, sid="a")
+    _, _, pb = _prep(seed=2, noise_std=0.02, sid="b")
+    for seed in (0, 3):
+        params = init_params(np.random.default_rng(seed), *compute_norm_stats([pa, pb]),
+                             scales={"a": 1.0, "b": 1.0})
+        ref = params.copy()
+        _grid_init_scales(params, [pa, pb], np.random.default_rng(seed))
+        bptt_oracle.grid_init_scales(ref, [pa, pb], np.random.default_rng(seed))
+        assert params.scales == ref.scales
+    grid = np.geomspace(0.25, 4.0, 13)
+    anchors = [3, 40, 90, 17]
+    losses = _batched_windows_loss_and_grads(params, [pa] * 4, anchors, 750, None, grid)
+    for s, loss in zip(grid, losses):
+        ref.scales["a"] = float(s)
+        assert loss == bptt_oracle.batched_windows_loss_and_grads(ref, [pa] * 4, anchors,
+                                                                  750, None)
+
+
+# tracemalloc peak of the 13-call grid (one loss-only forward per scale, a
+# cache list per step) on this test's sequence, measured on that code; a
+# forward that stacked the 52 (scale, anchor) rows would exceed it.
+GRID_PEAK_BYTES_13_CALLS = 5_214_258
+
+
+def test_scale_grid_peak_memory_is_at_most_the_per_scale_loop():
+    seq, _ = recovery_sequence("m", 3, peak=5.0, period=7.0, duration=6.0)
+    prep = prepare_sequence(seq)
+    assert round(1.0 / np.median(prep.dt)) == 500
+    params = init_params(np.random.default_rng(0), *compute_norm_stats([prep]),
+                         scales={"m": 1.0})
+    tracemalloc.start()
+    try:
+        _grid_init_scales(params, [prep], np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= GRID_PEAK_BYTES_13_CALLS, peak
 
 
 # --- training ---------------------------------------------------------------------
