@@ -346,33 +346,41 @@ def cmd_fuse(args, cfg):
     gt = ds.groundtruth
     R_wb, _ = _attitude(ds, cfg["attitude"])
 
+    period, length = cfg["dropout_period"], cfg["dropout_len"]
     drops = []
-    if cfg["dropout_period"] > 0 and cfg["dropout_len"] > 0:
-        t0 = float(ds.frames.t[0]) + cfg["dropout_period"] * 0.5
+    if period > 0 and length > 0:
+        frame_dt = float(np.median(np.diff(ds.frames.t)))
+        if period < frame_dt:
+            raise ConfigError(f"dropout_period must be at least the camera frame "
+                              f"interval ({frame_dt!r} s), got {period!r}")
+        if length >= period:
+            raise ConfigError(f"dropout_len must be shorter than dropout_period, "
+                              f"or every update drops; got {length!r} >= {period!r}")
+        t0 = float(ds.frames.t[0]) + period * 0.5
         while t0 < float(ds.frames.t[-1]):
-            drops.append((t0, t0 + cfg["dropout_len"]))
-            t0 += cfg["dropout_period"]
+            drops.append((t0, t0 + length))
+            t0 += period
 
     gt_traj = evalign.TrajectoryEstimate(t=gt["t"][::5], pos=gt["pos"][::5])
     rpm = _rpm_at_imu(ds)
 
-    # one filter pass per rate, its rows every (weight, seed) pair
+    # one filter pass for the sweep: a group of rows per rate, its rows every
+    # (weight, seed) pair
     pairs = list(itertools.product(weights, range(cfg["seeds"])))
+    runs = list(itertools.product(rates, pairs))
+    fc = _build(fusion.FusionConfig, cfg, model_weight=np.array([w for _, (w, _) in runs]))
     entries, last = [], None
-    for rate in (rates if pairs else []):       # seeds=0: nothing to run
-        fc = _build(fusion.FusionConfig, cfg, update_rate=rate,
-                    model_weight=np.array([w for w, _ in pairs]))
-        vis_t, vis_v = fusion.make_visual_measurements(
-            ds.frames.t, vel_b_true, fc, seed=[s for _, s in pairs],
-            dropout_windows=drops)
-        res = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro, rpm,
-                                R_wb, vis_t, vis_v, model, fc,
-                                p0=gt["pos"][0], v0=gt["vel_w"][0])
-        for (w, seed), pos in zip(pairs, res.pos):
-            est = evalign.TrajectoryEstimate(t=res.t[::5], pos=pos[::5])
+    if runs:                                    # seeds=0: nothing to run
+        groups = [fusion.make_visual_measurements(
+            ds.frames.t, vel_b_true, dataclasses.replace(fc, update_rate=rate),
+            seed=[s for _, s in pairs], dropout_windows=drops) for rate in rates]
+        last = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro, rpm, R_wb,
+                                 [t for t, _ in groups], [v for _, v in groups],
+                                 model, fc, p0=gt["pos"][0], v0=gt["vel_w"][0])
+        for (rate, (w, seed)), pos in zip(runs, last.pos):
+            est = evalign.TrajectoryEstimate(t=last.t[::5], pos=pos[::5])
             entries.append((rate, w, seed,
                             evalign.position_rmse(est, gt_traj, mode=cfg["align"])))
-        last = res
 
     os.makedirs(args.out, exist_ok=True)
     dataio.write_csv(os.path.join(args.out, "sweep.csv"),
@@ -461,7 +469,7 @@ def build_parser():
 
     f = _verb(sub, "fuse", cmd_fuse, FUSE_DEFAULTS, "fusion filter sweep",
               "Run the fusion filter for every update rate x model weight x seed "
-              "combination, one filter pass per rate. sweep.csv holds one RMSE row "
+              "combination, all in one filter pass. sweep.csv holds one RMSE row "
               "per combination; trajectory.csv holds the trajectory of the last "
               "combination: the last rate, the last weight and the last seed.")
     f.add_argument("--dataset", required=True)

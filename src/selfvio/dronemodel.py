@@ -159,15 +159,12 @@ def _mlp_layers(params: DroneModelParams, acts, dot=np.dot, th=None):
     return np.tanh(0.5 * (dot(acts[-1], params.weights[-1].T) + params.biases[-1]), out=th)
 
 
-def _mlp_forward(params: DroneModelParams, x_raw, rowwise=False):
+def _mlp_forward(params: DroneModelParams, x_raw):
     """x_raw: (B, 11) -> outputs (B, 3) = (d_x, d_y, eps) plus the layer
-    inputs and th. rowwise: each row's output does not depend on the batch
-    (`_rowwise_dot`)."""
-    # np.dot: less per-call cost than @
-    dot = _rowwise_dot if rowwise and len(x_raw) > 1 else np.dot
+    inputs and th."""
     acts = [(x_raw - params.norm_mean) / params._norm_div]
     acts += [np.empty((len(x_raw), n)) for n in LAYER_SIZES[1:-1]]
-    th = _mlp_layers(params, acts, dot)
+    th = _mlp_layers(params, acts)      # np.dot: less per-call cost than @
     return th * _OUT_GAIN + _OUT_MID, (acts, th)
 
 
@@ -181,6 +178,17 @@ def _features(vb, az, gyro, rpm):
     x[:, 4:7] = gyro
     x[:, 7:] = rpm
     return x
+
+
+def _free_inputs(params: DroneModelParams, az, gyro, rpm):
+    """The z-scored MLP inputs (..., 11) of a stream of samples az (...),
+    gyro (..., 3) and rpm (..., 4), in one op: the eight state-free columns
+    of every step, so that a step z-scores only vb's 3 columns, which it
+    writes over the first three."""
+    az = np.asarray(az, dtype=np.float64)
+    rows = _features(np.zeros((az.size, 3)), az.ravel(), np.reshape(gyro, (-1, 3)),
+                     np.reshape(rpm, (-1, 4)))
+    return ((rows - params.norm_mean) / params._norm_div).reshape(az.shape + (11,))
 
 
 def model_forward(params: DroneModelParams, vb, accel_z, gyro, rpm):
@@ -206,11 +214,20 @@ def _bracket(out, vb, az):
     return f
 
 
-def _specific_force(params: DroneModelParams, vb, az, gyro, rpm, rowwise=False):
-    """The model's specific force for a batch: the bracket of the
-    recurrence, shape (B, 3)."""
-    out, _ = _mlp_forward(params, _features(vb, az, gyro, rpm), rowwise)
-    return _bracket(out, vb, az)
+def _specific_force(params: DroneModelParams, vb, az, gyro, rpm, free=None):
+    """The model's specific force at each row of vb (B, 3) under one IMU and
+    motor sample: the bracket of the recurrence, shape (B, 3). Each row is
+    bitwise its single call (`_rowwise_dot`). free: that sample's
+    `_free_inputs` (11,), computed here when not given."""
+    if free is None:
+        free = _free_inputs(params, az, gyro, rpm)
+    x = np.empty((len(vb), 11))
+    x[:, 3:] = free[3:]
+    np.subtract(vb, params.norm_mean[:3], out=x[:, :3])
+    x[:, :3] /= params._norm_div[:3]
+    acts = [x] + [np.empty((len(vb), n)) for n in LAYER_SIZES[1:-1]]
+    th = _mlp_layers(params, acts, _rowwise_dot if len(vb) > 1 else np.dot)
+    return _bracket(th * _OUT_GAIN + _OUT_MID, vb, az)
 
 
 # --------------------------------------------------------------------------
@@ -257,13 +274,21 @@ def _butter3(wn):
 
 def _lfilter(b, a, x, z):
     """Direct form II transposed over the rows of x (n, d) from the state
-    z (3, d), updated in place, in scipy's lfilter order of operations."""
+    z (3, d), in scipy's lfilter order of operations. Each column runs over
+    Python floats, which round as float64 does, so it is bitwise the same
+    arithmetic at a fraction of numpy's per-sample call cost."""
+    b0, b1, b2, b3 = b.tolist()
+    _, a1, a2, a3 = a.tolist()
     y = np.empty_like(x)
-    for i, xi in enumerate(x):
-        y[i] = yi = z[0] + b[0] * xi
-        z[0] = z[1] + xi * b[1] - yi * a[1]
-        z[1] = z[2] + xi * b[2] - yi * a[2]
-        z[2] = xi * b[3] - yi * a[3]
+    for c, (col, (z0, z1, z2)) in enumerate(zip(x.T.tolist(), z.T.tolist())):
+        out = []
+        for xi in col:
+            yi = z0 + b0 * xi
+            z0 = z1 + xi * b1 - yi * a1
+            z1 = z2 + xi * b2 - yi * a2
+            z2 = xi * b3 - yi * a3
+            out.append(yi)
+        y[:, c] = out
     return y
 
 
@@ -399,9 +424,7 @@ def _run_window(params: DroneModelParams, vb, az, gyro, rpm, g_b, dt, R_step,
     stacked = vb.ndim == 3
     # np.matmul over an (S, B, k) stack runs np.dot's product on each (B, k) matrix
     dot, rotate = (np.matmul, "bji,sbj->sbi") if stacked else (np.dot, "bji,bj->bi")
-    rows = _features(np.zeros((az.size, 3)), az.ravel(), gyro.reshape(-1, 3),
-                     rpm.reshape(-1, 4))
-    free = ((rows - params.norm_mean) / params._norm_div).reshape(az.shape + (11,))
+    free = _free_inputs(params, az, gyro, rpm)
     mean, div = params.norm_mean[:3], params._norm_div[:3]
     xs = np.empty(lead + (11,)) if stacked else None
     hidden = [np.empty(((L if keep else 1),) + lead + (n,)) for n in LAYER_SIZES[1:-1]]

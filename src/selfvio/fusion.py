@@ -9,13 +9,16 @@ filter's current velocity estimate, so the drag terms act as velocity
 feedback. Visual body-velocity updates arrive at a configurable
 processing rate; dropout windows emulate challenging visual conditions.
 
-One filter pass runs a batch of B runs that share the IMU stream, the
-attitude and the update times and differ in model weight and measurement
-draw, as `fuse` sweeps them at one update rate. The covariance P and the
-gain K depend on neither the state, the weight nor the draw, so the batch
-shares one P and one K per update; a single run is the B = 1 case. Every
-per-row product is its own matrix-vector product, so each row is bitwise
-the run it would be alone.
+One filter pass runs a batch of runs that share the IMU stream and the
+attitude and differ in model weight, measurement draw and update
+schedule, as `fuse` sweeps them. The rows come in G groups, one per
+update schedule (one per rate in `fuse`). The covariance P and the gain K
+depend on neither the state, the weight nor the draw, only on the
+schedule, so each group propagates one P and updates its rows with one K
+per update; a batch at one rate is the G = 1 case, and a single run the
+B = 1 case of that. Every IMU step propagates the state of every row at
+once. Every per-row product is its own matrix-vector product, so each
+row is bitwise the run it would be alone.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dronemodel import DroneModelParams, _specific_force
+from .dronemodel import DroneModelParams, _free_inputs, _specific_force
 from .geometry import ContractViolation
 from .synth import G_WORLD
 
@@ -70,12 +73,14 @@ def fused_accel(imu_accel, model_sf, w):
                   np.asarray(model_sf, dtype=np.float64), w)
 
 
-def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm):
+def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm, free=None):
     """Specific force predicted by the drone model (the rollout bracket) at
     one body velocity (3,), or at each row of a (B, 3) stack under the same
-    IMU and motor sample; each row is bitwise its single call."""
+    IMU and motor sample; each row is bitwise its single call. free: the
+    sample's z-scored state-free inputs (`dronemodel._free_inputs`), when
+    the caller has them for the whole stream."""
     vb = np.asarray(vb, dtype=np.float64)
-    f = _specific_force(params, vb.reshape(-1, 3), accel[2], gyro, rpm, rowwise=True)
+    f = _specific_force(params, vb.reshape(-1, 3), accel[2], gyro, rpm, free)
     return f.reshape(vb.shape)
 
 
@@ -128,15 +133,29 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
                p0=None, v0=None) -> FilterResult:
     """Propagate at IMU rate, update with body-velocity measurements.
 
-    R_wb: (N,3,3) attitude stream (body->world). vis_v: (M,3) for one run,
-    or a (B,M,3) stack for a batch, with cfg.model_weight a float or one
-    weight per row. model may be None when every weight is 0.
+    R_wb: (N,3,3) attitude stream (body->world). vis_t (M,) and vis_v: (M,3)
+    for one run, or a (B,M,3) stack for a batch; or sequences of G groups'
+    update times (M_g,) and (B_g,M_g,3) stacks, for runs that differ in
+    their update schedule too. The rows are the groups' rows in order, each
+    group with its own P and K, and cfg.model_weight is a float or one
+    weight per row. model may be None when every weight is 0. n_updates
+    sums the groups' updates; a divergence in any row raises at its step.
     """
     n = len(imu_t)
-    vis_v = np.asarray(vis_v, dtype=np.float64)
-    single = vis_v.ndim == 2
-    z = np.ascontiguousarray((vis_v[None] if single else vis_v).swapaxes(0, 1))
-    B = z.shape[1]                      # z: (M, B, 3), an update's B draws together
+    if not (isinstance(vis_v, (list, tuple)) and np.ndim(vis_v[0]) == 3):
+        vis_t, vis_v = [vis_t], [vis_v]                 # one group
+    single = np.ndim(vis_v[0]) == 2     # one run: (N,3) results
+    # per group: its rows of the batch, its measurements (M_g, B_g, 3), an
+    # update's rows together, its update times and its next update
+    rows, zs, vis_lists, vis_is = [], [], [], []
+    for t_g, v_g in zip(vis_t, vis_v):
+        v_g = np.asarray(v_g, dtype=np.float64)
+        zs.append(np.ascontiguousarray((v_g[None] if single else v_g).swapaxes(0, 1)))
+        start = rows[-1].stop if rows else 0
+        rows.append(slice(start, start + zs[-1].shape[1]))
+        vis_lists.append(np.asarray(t_g, dtype=np.float64).tolist())
+        vis_is.append(int(np.searchsorted(vis_lists[-1], imu_t[0], side="left")))
+    B = rows[-1].stop
     w = np.broadcast_to(np.asarray(cfg.model_weight, dtype=np.float64), (B,))[:, None]
     # the model runs only on the rows with w > 0; the others propagate with
     # their IMU sample
@@ -144,20 +163,20 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
     w_on = w[on]
     if len(w_on) and model is None:
         raise ContractViolation("model required when model_weight > 0")
+    # the model's z-scored state-free inputs, every step's in one op
+    free = _free_inputs(model, accel[:-1, 2], gyro[:-1], rpm[:-1]) if len(w_on) else None
     x = np.empty((B, 6))                # rows [p, v]; p and v are views
     x[:, :3] = 0.0 if p0 is None else p0
     x[:, 3:] = 0.0 if v0 is None else v0
     p, v = x[:, :3], x[:, 3:]
-    P = np.diag([INIT_POS_STD ** 2] * 3 + [INIT_VEL_STD ** 2] * 3)
+    Ps = [np.diag([INIT_POS_STD ** 2] * 3 + [INIT_VEL_STD ** 2] * 3)] * len(zs)
     R_meas = (cfg.vis_noise_std ** 2) * np.eye(3)
 
     a_b = np.empty((B, 3))              # each row's body-frame specific force
     states = np.empty((n, B, 6))
     states[0] = x
     t = np.asarray(imu_t, dtype=np.float64)
-    t_list, vis_list = t.tolist(), np.asarray(vis_t, dtype=np.float64).tolist()
-
-    vis_i = int(np.searchsorted(vis_t, imu_t[0], side="left"))
+    t_list = t.tolist()
     n_updates = 0
     I6 = np.eye(6)
     # F = [[I, dt I], [0, I]], Q = diag(q_p I, q_v I): only dt, q_p, q_v change
@@ -174,7 +193,7 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
         a_b[:] = accel[i]
         if len(w_on):
             sf_model = model_specific_force(model, _matvec(Rb.T, v[on]),
-                                            accel[i], gyro[i], rpm[i])
+                                            accel[i], gyro[i], rpm[i], free[i])
             a_b[on] = _blend(accel[i], sf_model, w_on)    # FusionConfig checked w
         a_w = _matvec(Rb, a_b) + G_WORLD
         p += v * dt                     # p + v dt + a dt^2 / 2, in that order
@@ -186,23 +205,25 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
             Q_diag[:3] = (0.5 * cfg.accel_noise_std * dt * dt) ** 2
             Q_diag[3:] = (cfg.accel_noise_std * dt) ** 2
             dt_set = dt
-        P = F @ P @ F.T + Q
-
-        while vis_i < len(vis_list) and vis_list[vis_i] <= t_next:
-            Rn = R_wb[i + 1]
-            H = np.zeros((3, 6))
-            H[:, 3:] = Rn.T
-            S = H @ P @ H.T + R_meas
-            K = P @ H.T @ np.linalg.inv(S)
-            x += _matvec(K, z[vis_i] - _matvec(Rn.T, v))
-            P = (I6 - K @ H) @ P
-            P = 0.5 * (P + P.T)
-            vis_i += 1
-            n_updates += 1
+        for g, (sl, z, vis_list) in enumerate(zip(rows, zs, vis_lists)):
+            P = F @ Ps[g] @ F.T + Q
+            vis_i = vis_is[g]
+            while vis_i < len(vis_list) and vis_list[vis_i] <= t_next:
+                Rn = R_wb[i + 1]
+                H = np.zeros((3, 6))
+                H[:, 3:] = Rn.T
+                S = H @ P @ H.T + R_meas
+                K = P @ H.T @ np.linalg.inv(S)
+                x[sl] += _matvec(K, z[vis_i] - _matvec(Rn.T, v[sl]))
+                P = (I6 - K @ H) @ P
+                P = 0.5 * (P + P.T)
+                vis_i += 1
+                n_updates += 1
+            Ps[g], vis_is[g] = P, vis_i
 
         if not np.isfinite(x).all():
             raise FilterDivergence(t_next, "non-finite state")
-        if P.trace() > 1e6:
+        if any(P.trace() > 1e6 for P in Ps):
             raise FilterDivergence(t_next, "covariance blow-up")
         states[i + 1] = x
 

@@ -267,6 +267,29 @@ def test_fuse_trajectory_is_the_last_combination(tmp_path):
         open(os.path.join(tmp_path, "alone", "trajectory.csv")).read()
 
 
+@pytest.mark.parametrize("extra", ["weights=0.0\n",
+                                   "weights=0.0,0.3\ndropout_period=1.0\ndropout_len=0.3\n"])
+def test_fuse_sweep_rows_are_the_rates_alone(tmp_path, extra):
+    """A two-rate sweep runs in one filter pass; its sweep.csv lines are
+    byte for byte those of each rate swept alone, without and with a
+    model and dropouts."""
+    cfg = _write(os.path.join(tmp_path, "g.cfg"),
+                 GEN_SMALL + "kind=ellipse\nperiod=6\nduration=3\n")
+    ds = os.path.join(tmp_path, "ds")
+    assert main(["generate", "--config", cfg, "--out", ds]) == 0
+    model = os.path.join(tmp_path, "m.json")
+    save_params(model, init_params(np.random.default_rng(0)))
+    lines = {}
+    for rates in ("20,10", "20", "10"):
+        fcfg = _write(os.path.join(tmp_path, f"{rates}.cfg"),
+                      f"rates={rates}\nseeds=2\n" + extra)
+        out = os.path.join(tmp_path, rates)
+        assert main(["fuse", "--dataset", ds, "--model", model, "--out", out,
+                     "--config", fcfg]) == 0
+        lines[rates] = open(os.path.join(out, "sweep.csv"), "rb").read().splitlines()
+    assert lines["20,10"] == lines["20"] + lines["10"][1:]
+
+
 def _thinned_dataset(tmp_path, motors_stride=1, gt_stride=1):
     """A 2 s ellipse dataset at 100 Hz IMU whose motors.csv and
     groundtruth.csv keep every n-th IMU-rate sample, plus a model file."""
@@ -523,6 +546,10 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "fuse vis_noise_std=-1": ("fuse", "weights=0.0\nvis_noise_std=-1\n"),
     "fuse accel_noise_std=-1": ("fuse", "weights=0.0\naccel_noise_std=-1\n"),
     "fuse seeds=-1": ("fuse", "weights=0.0\nseeds=-1\n"),
+    # a period shorter than a frame interval would lay out ~1e9 windows
+    "fuse dropout_period=1e-9": ("fuse", "weights=0.0\ndropout_period=1e-9\ndropout_len=0.1\n"),
+    "fuse dropout_len=dropout_period": ("fuse",
+                                        "weights=0.0\ndropout_period=0.5\ndropout_len=0.5\n"),
     "eval bin_width=0": ("eval", "bin_width=0\n"),
     "eval bin_width=-1": ("eval", "bin_width=-1\n"),
     "eval speed_floor=0": ("eval", "speed_floor=0\n"),

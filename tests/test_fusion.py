@@ -218,3 +218,81 @@ def test_batch_with_one_nan_measurement_diverges():
         run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm,
                    sim.R_wb, vis_t, vis_v, constant_output_model(), cfg)
     assert err.value.timestamp == sim.imu.t[np.searchsorted(sim.imu.t, vis_t[5])]
+
+
+def _groups(sim, rows_per_rate, drops=()):
+    """Update times and (B_g, M_g, 3) draws per rate, for rows (w, seed)."""
+    cam_idx = np.clip(np.searchsorted(sim.imu.t, sim.cam_t), 0, len(sim.imu.t) - 1)
+    out = [make_visual_measurements(sim.cam_t, sim.vel_b[cam_idx],
+                                    FusionConfig(model_weight=0.0, update_rate=rate),
+                                    seed=[s for _, s in rows], dropout_windows=drops)
+           for rate, rows in rows_per_rate.items()]
+    weights = np.array([w for rows in rows_per_rate.values() for w, _ in rows])
+    return [t for t, _ in out], [v for _, v in out], weights
+
+
+def test_groups_rows_are_the_single_runs():
+    """One pass over three update schedules (30 Hz with mixed weights, a
+    one-row 15 Hz group, an all-w = 0 10 Hz group), with dropout windows
+    and a model, is row for row bitwise the runs alone, and its n_updates
+    is the sum of the groups'."""
+    sim, _ = _sim(duration=4.0, noise=NoiseSpec(seed=3, accel_std=0.2))
+    model = _random_model()
+    cam_idx = np.clip(np.searchsorted(sim.imu.t, sim.cam_t), 0, len(sim.imu.t) - 1)
+    drops = [(1.0, 1.6), (2.5, 3.0)]
+    rows_per_rate = {30.0: [(0.0, 4), (0.3, 9)], 15.0: [(0.3, 5)],
+                     10.0: [(0.0, 1), (0.0, 2)]}
+    vis_t, vis_v, weights = _groups(sim, rows_per_rate, drops)
+    cfg = FusionConfig(model_weight=weights)
+    batch = run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm,
+                       sim.R_wb, vis_t, vis_v, model, cfg,
+                       p0=sim.pos_w[0], v0=sim.vel_w[0])
+    assert batch.pos.shape == (5, len(sim.imu.t), 3)
+    b, group_updates = 0, []
+    for rate, rows in rows_per_rate.items():
+        for w, s in rows:
+            cfg1 = FusionConfig(model_weight=w, update_rate=rate)
+            t1, v1 = make_visual_measurements(sim.cam_t, sim.vel_b[cam_idx], cfg1,
+                                              seed=s, dropout_windows=drops)
+            one = run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm,
+                             sim.R_wb, t1, v1, model if w > 0 else None, cfg1,
+                             p0=sim.pos_w[0], v0=sim.vel_w[0])
+            for name in ("pos", "vel_body", "vel_world"):
+                assert np.array_equal(getattr(batch, name)[b], getattr(one, name)), \
+                    (name, rate, w, s)
+            b += 1
+        group_updates.append(one.n_updates)
+    assert len(set(group_updates)) == 3
+    assert batch.n_updates == sum(group_updates)
+
+
+def test_nan_in_a_later_group_diverges_at_its_step():
+    sim, _ = _sim(duration=2.0)
+    vis_t, vis_v, weights = _groups(sim, {30.0: [(0.0, 0), (0.3, 1)],
+                                          15.0: [(0.3, 2), (0.0, 3)]})
+    vis_v[1][1, 5, 0] = np.nan
+    with pytest.raises(FilterDivergence) as err:
+        run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm, sim.R_wb,
+                   vis_t, vis_v, constant_output_model(), FusionConfig(model_weight=weights))
+    assert err.value.timestamp == sim.imu.t[np.searchsorted(sim.imu.t, vis_t[1][5])]
+
+
+def test_two_rates_share_one_model_call_per_step(monkeypatch):
+    """The model term runs once per IMU step for every rate's rows, and the
+    state-free inputs hoisted out of the loop give each call bitwise what
+    the call computes from its own sample."""
+    import selfvio.fusion as fusion
+    sim, _ = _sim(duration=1.0, noise=NoiseSpec(seed=3, gyro_std=0.01, accel_std=0.2))
+    vis_t, vis_v, weights = _groups(sim, {30.0: [(0.3, 0)], 15.0: [(0.3, 1)]})
+    calls = []
+
+    def counted(params, vb, accel, gyro, rpm, free):
+        out = model_specific_force(params, vb, accel, gyro, rpm, free)
+        assert np.array_equal(out, model_specific_force(params, vb, accel, gyro, rpm))
+        calls.append(len(vb))
+        return out
+
+    monkeypatch.setattr(fusion, "model_specific_force", counted)
+    run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro, sim.motors.rpm, sim.R_wb,
+               vis_t, vis_v, _random_model(), FusionConfig(model_weight=weights))
+    assert len(calls) == len(sim.imu.t) - 1 and set(calls) == {2}
