@@ -340,13 +340,16 @@ def cmd_fuse(args, cfg):
     rates = _float_list(cfg, "rates")
     if cfg["seeds"] < 0:
         raise ConfigError("seeds must be nonnegative")
+    period, length = cfg["dropout_period"], cfg["dropout_len"]
+    if min(period, length) < 0:
+        raise ConfigError(f"dropout_period and dropout_len must be nonnegative, "
+                          f"got {period!r} and {length!r}")
     ds = dataio.load_sequence(args.dataset)
     _, vel_b_true = _groundtruth_at(ds, ds.frames.t)
     model = _load_model(args.model) if args.model else None
     gt = ds.groundtruth
     R_wb, _ = _attitude(ds, cfg["attitude"])
 
-    period, length = cfg["dropout_period"], cfg["dropout_len"]
     drops = []
     if period > 0 and length > 0:
         frame_dt = float(np.median(np.diff(ds.frames.t)))
@@ -371,11 +374,10 @@ def cmd_fuse(args, cfg):
     fc = _build(fusion.FusionConfig, cfg, model_weight=np.array([w for _, (w, _) in runs]))
     entries, last = [], None
     if runs:                                    # seeds=0: nothing to run
-        groups = [fusion.make_visual_measurements(
-            ds.frames.t, vel_b_true, dataclasses.replace(fc, update_rate=rate),
-            seed=[s for _, s in pairs], dropout_windows=drops) for rate in rates]
-        last = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro, rpm, R_wb,
-                                 [t for t, _ in groups], [v for _, v in groups],
+        groups = [fusion.make_visual_measurements(ds.frames.t, vel_b_true, rate,
+                                                  fc.vis_noise_std, [s for _, s in pairs],
+                                                  drops) for rate in rates]
+        last = fusion.run_filter(ds.imu.t, ds.imu.accel, ds.imu.gyro, rpm, R_wb, groups,
                                  model, fc, p0=gt["pos"][0], v0=gt["vel_w"][0])
         for (rate, (w, seed)), pos in zip(runs, last.pos):
             est = evalign.TrajectoryEstimate(t=last.t[::5], pos=pos[::5])

@@ -11,14 +11,13 @@ processing rate; dropout windows emulate challenging visual conditions.
 
 One filter pass runs a batch of runs that share the IMU stream and the
 attitude and differ in model weight, measurement draw and update
-schedule, as `fuse` sweeps them. The rows come in G groups, one per
-update schedule (one per rate in `fuse`). The covariance P and the gain K
-depend on neither the state, the weight nor the draw, only on the
-schedule, so each group propagates one P and updates its rows with one K
-per update; a batch at one rate is the G = 1 case, and a single run the
-B = 1 case of that. Every IMU step propagates the state of every row at
-once. Every per-row product is its own matrix-vector product, so each
-row is bitwise the run it would be alone.
+schedule, as `fuse` sweeps them. The rows come in G update groups, one
+per schedule (one per rate in `fuse`), and that is the only call form: a
+single run is one group of one row. P and K depend on neither the state,
+the weight nor the draw, only on the schedule, so each group propagates
+one P and updates its rows with one K per update. Every IMU step
+propagates every row at once, each per-row product its own matrix-vector
+product, so each row is bitwise the run it would be alone.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ class FilterDivergence(RuntimeError):
 
 @dataclass
 class FusionConfig:
-    model_weight: float = 0.3          # w: 0 = IMU only, 1 = model only; (B,) for a batch
-    update_rate: float = 120.0         # visual update rate (Hz)
+    model_weight: float = 0.3          # w: 0 = IMU only, 1 = model only; or (B,), one per row
     vis_noise_std: float = 0.1         # m/s
     accel_noise_std: float = 0.05      # m/s^2
 
@@ -53,8 +51,6 @@ class FusionConfig:
         w = np.asarray(self.model_weight)
         if not np.all((w >= 0.0) & (w <= 1.0)):
             raise ContractViolation("model weight must be in [0,1]")
-        if self.update_rate <= 0:
-            raise ContractViolation("update rate must be positive")
         if min(self.vis_noise_std, self.accel_noise_std) < 0:
             raise ContractViolation("noise standard deviations must be nonnegative")
 
@@ -63,25 +59,13 @@ def _blend(imu_accel, model_sf, w):
     return w * model_sf + (1.0 - w) * imu_accel
 
 
-def fused_accel(imu_accel, model_sf, w):
-    """Affine blend of measured and model-predicted specific force; w is a
-    float, or a (B, 1) array of weights for a (B, 3) stack."""
-    lo, hi = (w.min(), w.max()) if isinstance(w, np.ndarray) else (w, w)
-    if not (0.0 <= lo and hi <= 1.0):
-        raise ContractViolation("w must be in [0,1]")
-    return _blend(np.asarray(imu_accel, dtype=np.float64),
-                  np.asarray(model_sf, dtype=np.float64), w)
-
-
 def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm, free=None):
     """Specific force predicted by the drone model (the rollout bracket) at
-    one body velocity (3,), or at each row of a (B, 3) stack under the same
-    IMU and motor sample; each row is bitwise its single call. free: the
-    sample's z-scored state-free inputs (`dronemodel._free_inputs`), when
-    the caller has them for the whole stream."""
-    vb = np.asarray(vb, dtype=np.float64)
-    f = _specific_force(params, vb.reshape(-1, 3), accel[2], gyro, rpm, free)
-    return f.reshape(vb.shape)
+    each row of vb (B, 3) under one IMU and motor sample; each row is
+    bitwise its one-row call. free: the sample's z-scored state-free inputs
+    (`dronemodel._free_inputs`), when the caller has them for the whole
+    stream."""
+    return _specific_force(params, vb, accel[2], gyro, rpm, free)
 
 
 def _matvec(M, X):
@@ -95,62 +79,56 @@ def _matvec(M, X):
 @dataclass
 class FilterResult:
     t: np.ndarray
-    pos: np.ndarray        # (N,3) odometry frame; (B,N,3) for a batch
-    vel_body: np.ndarray   # (N,3); (B,N,3) for a batch
-    vel_world: np.ndarray  # (N,3); (B,N,3) for a batch
+    pos: np.ndarray        # (B,N,3) odometry frame, one run per row
+    vel_body: np.ndarray   # (B,N,3)
     n_updates: int = 0
 
 
 def select_update_times(cam_t, update_rate):
     """Subsample camera timestamps down to the processing rate."""
+    if update_rate <= 0:
+        raise ContractViolation("update rate must be positive")
     cam_t = np.asarray(cam_t, dtype=np.float64)
     cam_rate = 1.0 / float(np.median(np.diff(cam_t)))
     stride = max(1, int(round(cam_rate / update_rate)))
     return cam_t[::stride]
 
 
-def make_visual_measurements(cam_t, vel_body_gt, cfg: FusionConfig, seed=0,
+def make_visual_measurements(cam_t, vel_body, update_rate, vis_noise_std, seeds,
                              dropout_windows=()):
-    """Noisy body-velocity measurements with dropout windows removed.
-
-    seed: one seed, giving vis_v (M, 3), or a sequence of B seeds, giving a
-    (B, M, 3) stack of draws that share the times and the dropout mask.
+    """One update group: noisy body-velocity measurements at the processing
+    rate with dropout windows removed, as update times (M,) and a (B, M, 3)
+    stack of draws, one per seed, that share the times and the dropout mask.
     """
-    t = select_update_times(cam_t, cfg.update_rate)
+    t = select_update_times(cam_t, update_rate)
     idx = np.searchsorted(cam_t, t)
     keep = np.ones(len(t), dtype=bool)
     for (t0, t1) in dropout_windows:
         keep &= ~((t >= t0) & (t <= t1))
-    v_true = np.asarray(vel_body_gt)[idx]
-    draws = [(v_true + cfg.vis_noise_std *
-              np.random.default_rng(s).standard_normal((len(t), 3)))[keep]
-             for s in np.atleast_1d(seed).tolist()]
-    return t[keep], (draws[0] if np.ndim(seed) == 0 else np.stack(draws))
+    v_true = np.asarray(vel_body)[idx]
+    draws = [v_true + vis_noise_std * np.random.default_rng(s).standard_normal((len(t), 3))
+             for s in seeds]
+    return t[keep], np.stack(draws)[:, keep]
 
 
-def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
+def run_filter(imu_t, accel, gyro, rpm, R_wb, groups,
                model: DroneModelParams | None, cfg: FusionConfig,
                p0=None, v0=None) -> FilterResult:
     """Propagate at IMU rate, update with body-velocity measurements.
 
-    R_wb: (N,3,3) attitude stream (body->world). vis_t (M,) and vis_v: (M,3)
-    for one run, or a (B,M,3) stack for a batch; or sequences of G groups'
-    update times (M_g,) and (B_g,M_g,3) stacks, for runs that differ in
-    their update schedule too. The rows are the groups' rows in order, each
-    group with its own P and K, and cfg.model_weight is a float or one
-    weight per row. model may be None when every weight is 0. n_updates
-    sums the groups' updates; a divergence in any row raises at its step.
+    R_wb: (N,3,3) attitude stream (body->world). groups: G pairs of update
+    times (M_g,) and (B_g,M_g,3) measurements, as `make_visual_measurements`
+    returns them; the rows are the groups' rows in order, each group with
+    its own P and K. cfg.model_weight is a float or one weight per row, and
+    model may be None when every weight is 0. n_updates sums the groups'
+    updates; a divergence in any row raises at its step.
     """
     n = len(imu_t)
-    if not (isinstance(vis_v, (list, tuple)) and np.ndim(vis_v[0]) == 3):
-        vis_t, vis_v = [vis_t], [vis_v]                 # one group
-    single = np.ndim(vis_v[0]) == 2     # one run: (N,3) results
     # per group: its rows of the batch, its measurements (M_g, B_g, 3), an
     # update's rows together, its update times and its next update
     rows, zs, vis_lists, vis_is = [], [], [], []
-    for t_g, v_g in zip(vis_t, vis_v):
-        v_g = np.asarray(v_g, dtype=np.float64)
-        zs.append(np.ascontiguousarray((v_g[None] if single else v_g).swapaxes(0, 1)))
+    for t_g, v_g in groups:
+        zs.append(np.ascontiguousarray(np.asarray(v_g, dtype=np.float64).swapaxes(0, 1)))
         start = rows[-1].stop if rows else 0
         rows.append(slice(start, start + zs[-1].shape[1]))
         vis_lists.append(np.asarray(t_g, dtype=np.float64).tolist())
@@ -227,12 +205,7 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, vis_t, vis_v,
             raise FilterDivergence(t_next, "covariance blow-up")
         states[i + 1] = x
 
-    vel_w = states[..., 3:]
-    vel_b = np.matmul(np.swapaxes(R_wb, 1, 2)[:, None], vel_w[..., None])[..., 0]
-
-    def rows_first(a):                  # (N, B, 3) -> (B, N, 3), or (N, 3) alone
-        return np.ascontiguousarray(a[:, 0] if single else np.swapaxes(a, 0, 1))
-
-    return FilterResult(t=t.copy(), pos=rows_first(states[..., :3]),
-                        vel_body=rows_first(vel_b), vel_world=rows_first(vel_w),
-                        n_updates=n_updates)
+    vel_b = np.matmul(np.swapaxes(R_wb, 1, 2)[:, None], states[..., 3:, None])[..., 0]
+    pos, vel_b = (np.ascontiguousarray(np.swapaxes(a, 0, 1))     # (B, N, 3)
+                  for a in (states[..., :3], vel_b))
+    return FilterResult(t=t.copy(), pos=pos, vel_body=vel_b, n_updates=n_updates)

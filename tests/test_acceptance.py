@@ -420,17 +420,15 @@ def test_criterion_7_umeyama_exactness():
 
 
 def _fusion_run(sim, model, rate, w, seed, drops, vis_noise):
-    cfg = fusion.FusionConfig(model_weight=w, update_rate=rate,
-                              vis_noise_std=vis_noise)
+    cfg = fusion.FusionConfig(model_weight=w, vis_noise_std=vis_noise)
     cam_idx = np.clip(np.searchsorted(sim.imu.t, sim.cam_t), 0, len(sim.imu.t) - 1)
-    vis_t, vis_v = fusion.make_visual_measurements(
-        sim.cam_t, sim.vel_b[cam_idx], cfg, seed=seed + 1000,
-        dropout_windows=drops)
+    group = fusion.make_visual_measurements(      # one group of one row
+        sim.cam_t, sim.vel_b[cam_idx], rate, vis_noise, [seed + 1000], drops)
     res = fusion.run_filter(sim.imu.t, sim.imu.accel, sim.imu.gyro,
-                            sim.motors.rpm, sim.R_wb, vis_t, vis_v,
+                            sim.motors.rpm, sim.R_wb, [group],
                             model if w > 0 else None, cfg,
                             p0=sim.pos_w[0], v0=sim.vel_w[0])
-    est = TrajectoryEstimate(t=res.t[::10], pos=res.pos[::10])
+    est = TrajectoryEstimate(t=res.t[::10], pos=res.pos[0, ::10])
     gt = TrajectoryEstimate(t=sim.t_gt[::10], pos=sim.pos_w[::10])
     return position_rmse(est, gt, mode="se3")
 

@@ -550,6 +550,13 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "fuse dropout_period=1e-9": ("fuse", "weights=0.0\ndropout_period=1e-9\ndropout_len=0.1\n"),
     "fuse dropout_len=dropout_period": ("fuse",
                                         "weights=0.0\ndropout_period=0.5\ndropout_len=0.5\n"),
+    # a negative period or length is an error, not "no dropouts"
+    "fuse dropout_period=-1": ("fuse", "weights=0.0\ndropout_period=-1\ndropout_len=0.5\n"),
+    "fuse dropout_len=-0.5": ("fuse", "weights=0.0\ndropout_period=2\ndropout_len=-0.5\n"),
+    "fuse rates=0": ("fuse", "weights=0.0\nrates=0\n"),
+    "fuse rates=-30": ("fuse", "weights=0.0\nrates=30,-30\n"),
+    "fuse weights=1.5": ("fuse", "weights=1.5\n"),
+    "fuse weights=-0.1": ("fuse", "weights=0.0,-0.1\n"),
     "eval bin_width=0": ("eval", "bin_width=0\n"),
     "eval bin_width=-1": ("eval", "bin_width=-1\n"),
     "eval speed_floor=0": ("eval", "speed_floor=0\n"),
