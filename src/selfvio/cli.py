@@ -288,14 +288,12 @@ def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, attitude):
 
 
 def cmd_train_model(args, cfg):
-    seqs = []
-    for spec in args.sequence:
-        if ":" not in spec:
-            raise ConfigError("--sequence expects DATASET_DIR:VELOCITIES_CSV")
-        root, vel = spec.rsplit(":", 1)
-        seqs.append(_sequence_from_dataset(dataio.load_sequence(root), vel,
-                                           attitude=cfg["attitude"]))
-    params, history = dronemodel.train(seqs, _build(dronemodel.TrainConfig, cfg))
+    train_cfg = _build(dronemodel.TrainConfig, cfg)
+    if not all(":" in spec for spec in args.sequence):
+        raise ConfigError("--sequence expects DATASET_DIR:VELOCITIES_CSV")
+    seqs = [_sequence_from_dataset(dataio.load_sequence(root), vel, attitude=cfg["attitude"])
+            for root, vel in (spec.rsplit(":", 1) for spec in args.sequence)]
+    params, history = dronemodel.train(seqs, train_cfg)
     os.makedirs(args.out, exist_ok=True)
     dronemodel.save_params(os.path.join(args.out, "model.json"), params)
     dataio.write_csv(os.path.join(args.out, "history.csv"), "step,loss",
@@ -340,10 +338,24 @@ def cmd_fuse(args, cfg):
     rates = _float_list(cfg, "rates")
     if cfg["seeds"] < 0:
         raise ConfigError("seeds must be nonnegative")
+    if min(rates) <= 0:
+        raise ConfigError(f"rates must be positive, got {cfg['rates']!r}")
     period, length = cfg["dropout_period"], cfg["dropout_len"]
     if min(period, length) < 0:
         raise ConfigError(f"dropout_period and dropout_len must be nonnegative, "
                           f"got {period!r} and {length!r}")
+    dropouts = period > 0 and length > 0
+    if dropouts and length >= period:
+        raise ConfigError(f"dropout_len must be shorter than dropout_period, "
+                          f"or every update drops; got {length!r} >= {period!r}")
+    # one filter pass for the sweep: a group of rows per rate, its rows every
+    # (weight, seed) pair
+    pairs = list(itertools.product(weights, range(cfg["seeds"])))
+    runs = list(itertools.product(rates, pairs))
+    fc = _build(fusion.FusionConfig, cfg, model_weight=np.array([w for _, (w, _) in runs]))
+    if args.model is None and np.any(fc.model_weight > 0):
+        raise ConfigError("a model weight above 0 needs --model")
+
     ds = dataio.load_sequence(args.dataset)
     _, vel_b_true = _groundtruth_at(ds, ds.frames.t)
     model = _load_model(args.model) if args.model else None
@@ -351,14 +363,11 @@ def cmd_fuse(args, cfg):
     R_wb, _ = _attitude(ds, cfg["attitude"])
 
     drops = []
-    if period > 0 and length > 0:
+    if dropouts:
         frame_dt = float(np.median(np.diff(ds.frames.t)))
         if period < frame_dt:
             raise ConfigError(f"dropout_period must be at least the camera frame "
                               f"interval ({frame_dt!r} s), got {period!r}")
-        if length >= period:
-            raise ConfigError(f"dropout_len must be shorter than dropout_period, "
-                              f"or every update drops; got {length!r} >= {period!r}")
         t0 = float(ds.frames.t[0]) + period * 0.5
         while t0 < float(ds.frames.t[-1]):
             drops.append((t0, t0 + length))
@@ -366,12 +375,6 @@ def cmd_fuse(args, cfg):
 
     gt_traj = evalign.TrajectoryEstimate(t=gt["t"][::5], pos=gt["pos"][::5])
     rpm = _rpm_at_imu(ds)
-
-    # one filter pass for the sweep: a group of rows per rate, its rows every
-    # (weight, seed) pair
-    pairs = list(itertools.product(weights, range(cfg["seeds"])))
-    runs = list(itertools.product(rates, pairs))
-    fc = _build(fusion.FusionConfig, cfg, model_weight=np.array([w for _, (w, _) in runs]))
     entries, last = [], None
     if runs:                                    # seeds=0: nothing to run
         groups = [fusion.make_visual_measurements(ds.frames.t, vel_b_true, rate,

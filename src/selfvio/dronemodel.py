@@ -13,7 +13,24 @@ Velocity recurrence (one IMU step):
                           a_z - eps + g_z] * dt)
 
 where R_step is the exact axis-angle exponential of gyro * dt and g is
-the gravity vector from the attitude filter. Training jointly optimizes
+the gravity vector from the attitude filter. The code runs it folded. With
+th = tanh(z/2) of the output layer's pre-activation z, the outputs are
+(d_x, d_y, eps) = (1 + th_x, 1 + th_y, 5 th_z), and a step is
+
+    vb' = R_step^T (vb * (th * P + Q) + th * T + C),
+    P = (-dt, -dt, 0), Q = (1 - dt, 1 - dt, 1), T = (0, 0, -5 dt),
+    C = (g_x dt, g_y dt, (a_z + g_z) dt).
+
+Every factor that the state does not enter is built once per window:
+P, Q, T and C from dt, g and a_z; the first layer's pre-activation less
+vb's share, i.e. its eight state-free inputs (a_z, gyro, rpm), z-scored,
+times their columns of W0, plus b0 - W0[:, :3] @ (mean/div) of vb's three;
+and the folded weights, vb's share W0[:, :3] / div and the output layer
+with the 0.5 of tanh(z/2) taken into W3 and b3. A step adds vb's share to
+its row of pre-activations and runs the layers and the step above. The
+fusion filter builds the pre-activations and the folded weights once per
+IMU stream. model.json stores the unfolded
+weights, and the gradients are theirs. Training jointly optimizes
 the MLP weights and one scale parameter per sequence; the window's
 initial velocity is taken from the (scaled) teacher, so the scale
 gradient flows both through the targets and through the initial state.
@@ -142,30 +159,10 @@ def load_params(path) -> DroneModelParams:
 
 def _rowwise_dot(h, Wt, out=None):
     """np.dot(h, Wt, out=out) as one matrix-vector product per row of h
-    (B, k), so that each row is bitwise what np.dot gives it alone; a
+    (..., k), so that each row is bitwise what np.dot gives it alone; a
     (B, k) matrix product sums in an order that depends on B."""
-    return np.matmul(h[:, None, :], Wt, out=None if out is None else out[:, None, :])[:, 0]
-
-
-def _mlp_layers(params: DroneModelParams, acts, dot=np.dot, th=None):
-    """The MLP on its z-scored inputs acts[0] (..., 11): each hidden layer
-    is written into the buffer acts[li], and the output layer's tanh is
-    returned (into `th` when given), th = tanh(z/2), whose outputs are
-    (d_x, d_y, eps) = th * _OUT_GAIN + _OUT_MID."""
-    for li in range(1, len(acts)):
-        h = dot(acts[li - 1], params.weights[li - 1].T, out=acts[li])
-        h += params.biases[li - 1]
-        np.tanh(h, out=h)
-    return np.tanh(0.5 * (dot(acts[-1], params.weights[-1].T) + params.biases[-1]), out=th)
-
-
-def _mlp_forward(params: DroneModelParams, x_raw):
-    """x_raw: (B, 11) -> outputs (B, 3) = (d_x, d_y, eps) plus the layer
-    inputs and th."""
-    acts = [(x_raw - params.norm_mean) / params._norm_div]
-    acts += [np.empty((len(x_raw), n)) for n in LAYER_SIZES[1:-1]]
-    th = _mlp_layers(params, acts)      # np.dot: less per-call cost than @
-    return th * _OUT_GAIN + _OUT_MID, (acts, th)
+    return np.matmul(h[..., None, :], Wt,
+                     out=None if out is None else out[..., None, :])[..., 0, :]
 
 
 def _features(vb, az, gyro, rpm):
@@ -180,15 +177,60 @@ def _features(vb, az, gyro, rpm):
     return x
 
 
-def _free_inputs(params: DroneModelParams, az, gyro, rpm):
+def _inputs(params: DroneModelParams, az, gyro, rpm, vb=None):
     """The z-scored MLP inputs (..., 11) of a stream of samples az (...),
-    gyro (..., 3) and rpm (..., 4), in one op: the eight state-free columns
-    of every step, so that a step z-scores only vb's 3 columns, which it
-    writes over the first three."""
+    gyro (..., 3) and rpm (..., 4) at the states vb (..., 3), or at vb = 0,
+    whose columns then hold -mean/div."""
     az = np.asarray(az, dtype=np.float64)
-    rows = _features(np.zeros((az.size, 3)), az.ravel(), np.reshape(gyro, (-1, 3)),
-                     np.reshape(rpm, (-1, 4)))
-    return ((rows - params.norm_mean) / params._norm_div).reshape(az.shape + (11,))
+    rows = _features(np.zeros((az.size, 3)) if vb is None else np.reshape(vb, (-1, 3)),
+                     az.ravel(), np.reshape(gyro, (-1, 3)), np.reshape(rpm, (-1, 4)))
+    rows -= params.norm_mean
+    rows /= params._norm_div
+    return rows.reshape(az.shape + (11,))
+
+
+def _pre_activations(params: DroneModelParams, az, gyro, rpm):
+    """The first layer's pre-activation (..., 45) of a stream of samples
+    less vb's share: the eight state-free columns' share plus
+    b0 - W0[:, :3] @ (mean/div), one row product per sample, so that each
+    row is bitwise its sample alone."""
+    pre = _rowwise_dot(_inputs(params, az, gyro, rpm), params.weights[0].T)
+    pre += params.biases[0]
+    return pre
+
+
+def _fold(params: DroneModelParams):
+    """The folded layer stack's weights, from the stored ones: vb's share of
+    the first layer (W0[:, :3] / div).T, the hidden layers (W.T, b), and
+    the output layer with tanh(z/2)'s 0.5 taken in, (0.5 W3).T and 0.5 b3."""
+    W, b = params.weights, params.biases
+    return ((W[0][:, :3] / params._norm_div[:3]).T,
+            [(w.T, c) for w, c in zip(W[1:-1], b[1:-1])],
+            (0.5 * W[-1]).T, 0.5 * b[-1])
+
+
+def _mlp_layers(fold, vb, pre, hidden=(None,) * (len(LAYER_SIZES) - 2), dot=np.dot, th=None):
+    """The MLP at the states vb (..., 3) from their samples' `_pre_activations`
+    pre: the first hidden layer is pre + vb's share, and each hidden layer
+    is written into its buffer in `hidden` (which may alias pre). Returns
+    the output layer's tanh (into `th` when given), th = tanh(z/2), whose
+    outputs are (d_x, d_y, eps) = th * _OUT_GAIN + _OUT_MID."""
+    vb_share, layers, W_out, b_out = fold
+    h = np.add(dot(vb, vb_share), pre, out=hidden[0])
+    np.tanh(h, out=h)
+    for (Wt, b), out in zip(layers, hidden[1:]):
+        h = dot(h, Wt, out=out)
+        h += b
+        np.tanh(h, out=h)
+    z = dot(h, W_out, out=th)
+    z += b_out
+    return np.tanh(z, out=z)
+
+
+def _mlp_forward(params: DroneModelParams, x_raw):
+    """x_raw: (B, 11) -> outputs (B, 3) = (d_x, d_y, eps)."""
+    pre = _pre_activations(params, x_raw[:, 3], x_raw[:, 4:7], x_raw[:, 7:])
+    return _mlp_layers(_fold(params), x_raw[:, :3], pre) * _OUT_GAIN + _OUT_MID
 
 
 def model_forward(params: DroneModelParams, vb, accel_z, gyro, rpm):
@@ -198,7 +240,7 @@ def model_forward(params: DroneModelParams, vb, accel_z, gyro, rpm):
          if (vb.size, gyro.size, rpm.size) == (3, 3, 4) else None)
     if x is None or not np.all(np.isfinite(x)):
         raise ContractViolation("model_forward expects 11 finite inputs")
-    out, _ = _mlp_forward(params, x)
+    out = _mlp_forward(params, x)
     return float(out[0, 0]), float(out[0, 1]), float(out[0, 2])
 
 
@@ -214,19 +256,31 @@ def _bracket(out, vb, az):
     return f
 
 
-def _specific_force(params: DroneModelParams, vb, az, gyro, rpm, free=None):
+# The Euler step u = vb + (f + g_b) dt, f = `_bracket`, is folded as
+# u = vb (th P + Q) + th T + C. Per unit dt, P is -gain and Q - 1 is -mid on
+# the drag rows x and y, and T is -gain on the eps row z
+_XY = np.array([1.0, 1.0, 0.0])
+_P_DT, _Q_DT, _T_DT = -_OUT_GAIN * _XY, -_OUT_MID * _XY, -_OUT_GAIN * (1.0 - _XY)
+
+
+def _step_factors(dt):
+    """The folded Euler step's state-free factors P, Q, T (..., 3) of the
+    step lengths dt (...)."""
+    dts = dt[..., None]
+    return _P_DT * dts, 1.0 + _Q_DT * dts, _T_DT * dts
+
+
+def _specific_force(params: DroneModelParams, vb, az, gyro, rpm, pre=None, fold=None):
     """The model's specific force at each row of vb (B, 3) under one IMU and
     motor sample: the bracket of the recurrence, shape (B, 3). Each row is
-    bitwise its single call (`_rowwise_dot`). free: that sample's
-    `_free_inputs` (11,), computed here when not given."""
-    if free is None:
-        free = _free_inputs(params, az, gyro, rpm)
-    x = np.empty((len(vb), 11))
-    x[:, 3:] = free[3:]
-    np.subtract(vb, params.norm_mean[:3], out=x[:, :3])
-    x[:, :3] /= params._norm_div[:3]
-    acts = [x] + [np.empty((len(vb), n)) for n in LAYER_SIZES[1:-1]]
-    th = _mlp_layers(params, acts, _rowwise_dot if len(vb) > 1 else np.dot)
+    bitwise its single call (`_rowwise_dot`). pre and fold: that sample's
+    `_pre_activations` (45,) and the model's `_fold`, computed here when
+    not given."""
+    if pre is None:
+        pre = _pre_activations(params, az, gyro, rpm)
+    if fold is None:
+        fold = _fold(params)
+    th = _mlp_layers(fold, vb, pre, dot=_rowwise_dot if len(vb) > 1 else np.dot)
     return _bracket(th * _OUT_GAIN + _OUT_MID, vb, az)
 
 
@@ -409,79 +463,86 @@ def _run_window(params: DroneModelParams, vb, az, gyro, rpm, g_b, dt, R_step,
                 keep=False):
     """Roll the velocity recurrence over a window of L IMU steps:
 
-        vb' = R_step^T (vb + (f + g_b) dt),  f = `_bracket` of the MLP outputs.
+        vb' = R_step^T (vb (th P + Q) + th T + C),  th = the MLP's tanh(z/2),
 
-    The step inputs are time-major, (L, B, ...); vb is (B, 3), or (S, B, 3)
-    for S stacks of states that share the inputs (the scale grid). The
-    eight state-free inputs are z-scored for the whole window in one op, so
-    a step does only the work that depends on the state. Returns the
+    the Euler step vb + (f + g_b) dt with f = `_bracket` of the MLP outputs,
+    folded (`_step_factors`; C = (g_b + (0, 0, a_z - mid_z)) dt). The step
+    inputs are time-major, (L, B, ...); vb is (B, 3), or (S, B, 3) for S
+    stacks of states that share the inputs (the scale grid). Every factor
+    that the state does not enter is built for the whole window before the
+    loop: the first layer's `_pre_activations`, written into the first
+    hidden layer's buffer, the folded weights and P, Q, T, C. Returns the
     states (L+1, ..., 3), vb first, the output layer's tanh th (L, ..., 3)
-    and the layer inputs [(L, B, 11), 3 x (n, ..., 45)] (`_mlp_layers`'s
-    acts): the hidden layers of every step (n = L) with keep, for
-    `_window_vjp`, else of the last step only (n = 1).
+    and the layer inputs [x, 3 x (n, ..., 45)]. With keep, for
+    `_window_vjp`, x is the z-scored inputs (L, B, 11), built after the
+    loop, and the hidden layers are every step's (n = L). Without, x is
+    None and they are the last step's (n = 1), except that a (B, 3) vb's
+    first layer is its (L, B, 45) pre-activations, each row overwritten by
+    its step's layer.
     """
     L, lead = len(dt), vb.shape[:-1]
     stacked = vb.ndim == 3
     # np.matmul over an (S, B, k) stack runs np.dot's product on each (B, k) matrix
     dot, rotate = (np.matmul, "bji,sbj->sbi") if stacked else (np.dot, "bji,bj->bi")
-    free = _free_inputs(params, az, gyro, rpm)
-    mean, div = params.norm_mean[:3], params._norm_div[:3]
-    xs = np.empty(lead + (11,)) if stacked else None
-    hidden = [np.empty(((L if keep else 1),) + lead + (n,)) for n in LAYER_SIZES[1:-1]]
+    pre = _pre_activations(params, az, gyro, rpm)
+    fold = _fold(params)
+    P, Q, T = _step_factors(dt)
+    C = (g_b + (1.0 - _XY) * (az[..., None] - _OUT_MID)) * dt[..., None]
+    hidden = [np.empty(((L if keep else 1),) + lead + (n,)) if li or stacked else pre
+              for li, n in enumerate(LAYER_SIZES[1:-1])]
     th = np.empty((L,) + lead + (3,))
     vel = np.empty((L + 1,) + vb.shape)
     vel[0] = vb
-    dts = dt[..., None]
     for j in range(L):
-        if stacked:
-            xs[..., 3:] = free[j, :, 3:]
-            x = xs
-        else:
-            x = free[j]
-        vb = vel[j]
-        np.subtract(vb, mean, out=x[..., :3])
-        x[..., :3] /= div
+        vb, t = vel[j], th[j]
         k = j if keep else 0
-        _mlp_layers(params, [x] + [h[k] for h in hidden], dot, th[j])
-        f = _bracket(th[j] * _OUT_GAIN + _OUT_MID, vb, az[j])
-        np.einsum(rotate, R_step[j], vb + (f + g_b[j]) * dts[j], out=vel[j + 1])
-    return vel, th, [free] + hidden
+        _mlp_layers(fold, vb, pre[j], (hidden[0][k if stacked else j], hidden[1][k],
+                                       hidden[2][k]), dot, t)
+        u = t * P[j]
+        u += Q[j]
+        u *= vb
+        u += t * T[j]
+        u += C[j]
+        np.einsum(rotate, R_step[j], u, out=vel[j + 1])
+    return vel, th, [_inputs(params, az, gyro, rpm, vel[:-1]) if keep else None] + hidden
 
 
 def _window_vjp(params: DroneModelParams, vel, th, acts, dt, R_step, dvel, grads):
     """Reverse of `_run_window` with keep: dvel (L+1, B, 3) = dL/d(states)
-    -> dL/dvb.
+    -> dL/dvb. The gradients are those of the stored weights.
 
     The steps run descending in blocks of max(1, _GRAD_ROWS // B). A block
-    first takes the factors that the reverse state does not enter (1 - a^2
-    of each hidden layer, 1 - th^2, the outputs and d(bracket)/d(outputs))
-    as array ops; each step writes its layer grads dz into block-sized
-    buffers, and the block then adds its MLP weight and bias grads into
-    `grads`, one matrix product per layer, rows in step order descending.
+    first takes, as array ops, every factor that the reverse state lam does
+    not enter: 1 - a^2 of each hidden layer, the Euler step's
+    du/dvb = th P + Q and dz/du = (vb P + T)(1 - th^2)/2 of the output
+    layer's pre-activation z. A step then makes the reverse's
+    state-dependent calls only; it writes its layer grads dz into
+    block-sized buffers, and the block then adds its MLP weight and bias
+    grads into `grads`, one matrix product per layer, rows in step order
+    descending.
     """
     L, B = th.shape[:2]
     per = max(1, _GRAD_ROWS // B)
     W = params.weights
-    half_gain, div = 0.5 * _OUT_GAIN, params._norm_div[:3]
+    vb_share = _fold(params)[0].T      # (45, 3): d(first layer)/d(vb)
     dzs = [np.empty((per, B, n)) for n in LAYER_SIZES[1:]]
-    dts = dt[..., None]
     lam = dvel[-1]
     for hi in range(L, 0, -per):
         blk = slice(max(hi - per, 0), hi)
-        d_th = 1.0 - th[blk] * th[blk]
+        P, Q, T = _step_factors(dt[blk])
+        t = th[blk]
+        d_vb = t * P + Q
+        d_out = (vel[blk] * P + T) * (1.0 - t * t) * 0.5
         d_act = [1.0 - a[blk] ** 2 for a in acts[1:]]
-        out = th[blk] * _OUT_GAIN + _OUT_MID
-        d_f = -vel[blk]           # d(bracket)/d(outputs): (-vb_x, -vb_y, -1)
-        d_f[..., 2] = -1.0
         for k, j in enumerate(range(hi - 1, blk.start - 1, -1)):
             r = j - blk.start
             du = np.einsum("bij,bj->bi", R_step[j], lam)
-            df = du * dts[j]
-            dz = np.multiply(df * d_f[r] * half_gain, d_th[r], out=dzs[-1][k])
+            dz = np.multiply(du, d_out[r], out=dzs[-1][k])
             for li in range(len(W) - 1, 0, -1):
                 dz = np.multiply(np.dot(dz, W[li]), d_act[li - 1][r], out=dzs[li - 1][k])
-            du[:, :2] -= out[r, :, :2] * df[:, :2]
-            lam = du + np.dot(dz, W[0])[:, :3] / div + dvel[j]
+            lam = du * d_vb[r]
+            lam += np.dot(dz, vb_share)
+            lam += dvel[j]
         n = (hi - blk.start) * B
         for li, dz in enumerate(dzs):
             dz = dz[:hi - blk.start].reshape(n, -1)
@@ -720,5 +781,5 @@ def effective_drag(params: DroneModelParams, prep: PreparedSequence, s=None,
     if not keep.any():
         raise ContractViolation("no cruise samples above the speed floor")
     X = _features(vb, prep.az[idx], prep.gyro[idx], prep.rpm[idx])
-    out, _ = _mlp_forward(params, X[keep])
+    out = _mlp_forward(params, X[keep])
     return float(out[:, 0].mean()), float(out[:, 1].mean())

@@ -6,8 +6,12 @@ propagation acceleration is an affine blend, w * model + (1 - w) * accel,
 of the IMU specific force and the specific force of the drone model's
 velocity recurrence (`dronemodel._specific_force`), evaluated at the
 filter's current velocity estimate, so the drag terms act as velocity
-feedback. Visual body-velocity updates arrive at a configurable
-processing rate; dropout windows emulate challenging visual conditions.
+feedback. The model's folded weights and its first-layer pre-activations
+less the velocity's share are built for the whole IMU stream before the
+loop, so a step runs only the velocity's share and the layers above it
+(`dronemodel._fold`, `_pre_activations`). Visual body-velocity
+updates arrive at a configurable processing rate; dropout windows emulate
+challenging visual conditions.
 
 One filter pass runs a batch of runs that share the IMU stream and the
 attitude and differ in model weight, measurement draw and update
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dronemodel import DroneModelParams, _free_inputs, _specific_force
+from .dronemodel import DroneModelParams, _fold, _pre_activations, _specific_force
 from .geometry import ContractViolation
 from .synth import G_WORLD
 
@@ -59,13 +63,15 @@ def _blend(imu_accel, model_sf, w):
     return w * model_sf + (1.0 - w) * imu_accel
 
 
-def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm, free=None):
+def model_specific_force(params: DroneModelParams, vb, accel, gyro, rpm, pre=None, *,
+                         fold=None):
     """Specific force predicted by the drone model (the rollout bracket) at
     each row of vb (B, 3) under one IMU and motor sample; each row is
-    bitwise its one-row call. free: the sample's z-scored state-free inputs
-    (`dronemodel._free_inputs`), when the caller has them for the whole
-    stream."""
-    return _specific_force(params, vb, accel[2], gyro, rpm, free)
+    bitwise its one-row call. pre: the sample's first-layer pre-activation
+    less vb's share (`dronemodel._pre_activations`), and fold: the model's
+    folded weights (`dronemodel._fold`), when the caller has them for the
+    whole stream."""
+    return _specific_force(params, vb, accel[2], gyro, rpm, pre, fold)
 
 
 def _matvec(M, X):
@@ -141,8 +147,10 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, groups,
     w_on = w[on]
     if len(w_on) and model is None:
         raise ContractViolation("model required when model_weight > 0")
-    # the model's z-scored state-free inputs, every step's in one op
-    free = _free_inputs(model, accel[:-1, 2], gyro[:-1], rpm[:-1]) if len(w_on) else None
+    # the model's state-free terms: its folded weights, and the state-free
+    # share of its first layer, every step's at once
+    fold, pre = ((_fold(model), _pre_activations(model, accel[:-1, 2], gyro[:-1], rpm[:-1]))
+                 if len(w_on) else (None, None))
     x = np.empty((B, 6))                # rows [p, v]; p and v are views
     x[:, :3] = 0.0 if p0 is None else p0
     x[:, 3:] = 0.0 if v0 is None else v0
@@ -171,7 +179,7 @@ def run_filter(imu_t, accel, gyro, rpm, R_wb, groups,
         a_b[:] = accel[i]
         if len(w_on):
             sf_model = model_specific_force(model, _matvec(Rb.T, v[on]),
-                                            accel[i], gyro[i], rpm[i], free[i])
+                                            accel[i], gyro[i], rpm[i], pre[i], fold=fold)
             a_b[on] = _blend(accel[i], sf_model, w_on)    # FusionConfig checked w
         a_w = _matvec(Rb, a_b) + G_WORLD
         p += v * dt                     # p + v dt + a dt^2 / 2, in that order

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import selfvio
+from selfvio import dataio
 from selfvio.cli import EST_DEFAULTS, EVAL_DEFAULTS, main
 from selfvio.dataio import FormatError, load_sequence
 from selfvio.dronemodel import MODEL_FORMAT, init_params, save_params
@@ -557,6 +558,8 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "fuse rates=-30": ("fuse", "weights=0.0\nrates=30,-30\n"),
     "fuse weights=1.5": ("fuse", "weights=1.5\n"),
     "fuse weights=-0.1": ("fuse", "weights=0.0,-0.1\n"),
+    # the table's fuse runs pass no --model
+    "fuse weights=0.3 without a model": ("fuse", "weights=0.0,0.3\n"),
     "eval bin_width=0": ("eval", "bin_width=0\n"),
     "eval bin_width=-1": ("eval", "bin_width=-1\n"),
     "eval speed_floor=0": ("eval", "speed_floor=0\n"),
@@ -567,9 +570,18 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
 }
 
 
+# rows whose check needs the dataset: the camera frame interval
+READS_DATA = {"fuse dropout_period=1e-9"}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
-def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
+def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case, monkeypatch):
+    """Exit 2 and no output; `fuse` and `train-model` reject a config before
+    they load any dataset."""
     ds, traj = small_dataset
+    loads = []
+    monkeypatch.setattr(dataio, "load_sequence",
+                        lambda *a, **k: loads.append(a) or load_sequence(*a, **k))
     verb, body = MALFORMED_CONFIGS[case]
     cfg = _write(os.path.join(tmp_path, "c.cfg"), body)
     out = os.path.join(tmp_path, "out")
@@ -586,6 +598,8 @@ def test_malformed_config_value_is_config_error(tmp_path, small_dataset, case):
     }[verb]
     assert main(argv + ["--out", out, "--config", cfg]) == 2
     assert not os.path.exists(out)
+    if verb in ("fuse", "train-model") and case not in READS_DATA:
+        assert loads == []
 
 
 def test_echo_holds_the_resolved_config(tmp_path, small_dataset):

@@ -13,14 +13,20 @@ from conftest import constant_output_model, recovery_sequence
 
 from selfvio.dronemodel import (_GRAD_ROWS, DivergenceError, DroneModelParams,
                                 ShortSequence, TrainConfig, TrainSequence,
-                                _batched_windows_loss_and_grads, _flatten,
+                                _batched_windows_loss_and_grads, _features, _flatten,
                                 _grid_init_scales, _mlp_forward, _unflatten_into,
-                                _zero_grads, compute_norm_stats, init_params,
-                                load_params, model_forward, prepare_sequence,
-                                rollout, save_params, smooth_teacher,
+                                _zero_grads, compute_norm_stats, effective_drag,
+                                init_params, load_params, model_forward,
+                                prepare_sequence, rollout, save_params, smooth_teacher,
                                 teacher_velocity, train, window_loss_and_grads)
 from selfvio.geometry import ContractViolation, rotvec_to_matrix
 from selfvio.synth import R_CB
+
+
+def _rel_err(got, want):
+    """The largest deviation of got from want, relative to want's largest
+    magnitude."""
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
 
 
 def _prep(seed=1, noise_std=0.0, sid="a"):
@@ -339,6 +345,50 @@ def test_window_bptt_is_bitwise_the_per_step_chain(B, L):
     assert g["scales"] == want["scales"]
 
 
+@pytest.mark.parametrize("B", [1, 6])
+@pytest.mark.parametrize("L", [150, 10])
+def test_window_loop_is_the_textbook_chain_to_rounding(B, L):
+    """The folded window loop agrees with the unfolded textbook chain within
+    1e-12 relative: its loss and every weight, bias and scale gradient, and
+    the rollout's states and specific force over L steps."""
+    _, _, pa = _prep(noise_std=0.05, sid="a")
+    _, _, pb = _prep(seed=2, noise_std=0.02, sid="b")
+    params = init_params(np.random.default_rng(7), *compute_norm_stats([pa, pb]),
+                         scales={"a": 1.3, "b": 0.8})
+    preps = [pa, pb, pa, pa, pb, pa][:B]
+    k0s = [150, 20, 77, 3, 160, 120][:B]
+    g = _zero_grads(params)
+    loss = _batched_windows_loss_and_grads(params, preps, k0s, L, g)
+    want_loss, want = bptt_oracle.textbook_loss_and_grads(params, preps, k0s, L)
+    assert _rel_err(loss, want_loss) <= 1e-12
+    for key in ("weights", "biases"):
+        for li, (got, ref) in enumerate(zip(g[key], want[key])):
+            assert _rel_err(got, ref) <= 1e-12, (key, li)
+    ids = sorted({p.seq_id for p in preps})
+    assert _rel_err([g["scales"][k] for k in ids], [want["scales"][k] for k in ids]) <= 1e-12
+    for start, vb0 in ((0, [0.0, 0.0, 0.0]), (37, [1.0, -0.5, 0.2])):
+        got = rollout(params, pa, np.array(vb0), start=start, horizon=L)
+        ref = bptt_oracle.textbook_rollout(params, pa, np.array(vb0), start=start, horizon=L)
+        assert np.array_equal(got.t, ref.t)
+        assert _rel_err(got.vel, ref.vel) <= 1e-12
+        assert _rel_err(got.specific_force, ref.specific_force) <= 1e-12
+
+
+def test_effective_drag_is_the_textbook_mean():
+    """effective_drag is the textbook MLP's mean (d_x, d_y) over the teacher
+    samples at or above the speed floor, to rounding."""
+    _, _, pa = _prep(noise_std=0.05, sid="a")
+    params = init_params(np.random.default_rng(7), *compute_norm_stats([pa]),
+                         scales={"a": 1.3})
+    idx = np.clip(pa.sample_step, 0, len(pa.az) - 1)
+    vb = 1.3 * pa.base_vel
+    keep = np.linalg.norm(vb, axis=1) >= 1.0
+    assert 0 < keep.sum() < len(keep)
+    out, _ = bptt_oracle.textbook_mlp_forward(
+        params, _features(vb, pa.az[idx], pa.gyro[idx], pa.rpm[idx])[keep])
+    assert _rel_err(effective_drag(params, pa), out[:, :2].mean(axis=0)) <= 1e-12
+
+
 def test_scale_grid_is_the_per_scale_loop():
     """The one broadcast forward of the scale grid gives, bitwise, the 13
     per-scale losses, and _grid_init_scales picks the per-scale loop's
@@ -432,15 +482,20 @@ def test_input_divisor_is_the_floored_std(tmp_path, rng):
     (also on reassignment); model.json keeps the stored norm_std."""
     p = init_params(rng, norm_mean=rng.normal(size=11), norm_std=np.full(11, 2.0))
     p.norm_std = np.r_[1e-6, 0.0, 3.0, np.full(8, 0.5)]
-    x = rng.normal(size=(5, 11))
-    (_, (acts, _)), floor = _mlp_forward(p, x), 1e-3
-    assert np.array_equal(acts[0], (x - p.norm_mean) / np.maximum(p.norm_std, floor))
+    x, floor = rng.normal(size=(5, 11)), 1e-3
+    assert np.array_equal(p._norm_div, np.maximum(p.norm_std, floor))
+    # the folded forward is the textbook layers on inputs z-scored by that divisor
+    unit = p.copy()
+    unit.norm_mean, unit.norm_std = np.zeros(11), np.ones(11)
+    want, _ = bptt_oracle.textbook_mlp_forward(
+        unit, (x - p.norm_mean) / np.maximum(p.norm_std, floor))
+    assert _rel_err(_mlp_forward(p, x), want) <= 1e-12
     path = os.path.join(tmp_path, "m.json")
     save_params(path, p)
     q = load_params(path)
     assert np.array_equal(q.norm_std, p.norm_std)
-    assert np.array_equal(_mlp_forward(q, x)[0], _mlp_forward(p, x)[0])
-    assert np.array_equal(_mlp_forward(p.copy(), x)[0], _mlp_forward(p, x)[0])
+    assert np.array_equal(_mlp_forward(q, x), _mlp_forward(p, x))
+    assert np.array_equal(_mlp_forward(p.copy(), x), _mlp_forward(p, x))
 
 
 # --- serialization -------------------------------------------------------------------

@@ -270,15 +270,18 @@ def test_nan_in_a_later_group_diverges_at_its_step():
 
 def test_two_rates_share_one_model_call_per_step(monkeypatch):
     """The model term runs once per IMU step for every rate's rows, and the
-    state-free inputs hoisted out of the loop give each call bitwise what
-    the call computes from its own sample."""
+    first-layer pre-activation row hoisted out of the loop is bitwise the
+    one the call computes from its own sample, and so is the call's output
+    with the hoisted folded weights."""
     import selfvio.fusion as fusion
+    from selfvio.dronemodel import _pre_activations
     sim, _ = _sim(duration=1.0, noise=NoiseSpec(seed=3, gyro_std=0.01, accel_std=0.2))
     groups, weights = _groups(sim, {30.0: [(0.3, 0)], 15.0: [(0.3, 1)]})
     calls = []
 
-    def counted(params, vb, accel, gyro, rpm, free):
-        out = model_specific_force(params, vb, accel, gyro, rpm, free)
+    def counted(params, vb, accel, gyro, rpm, pre, fold):
+        assert np.array_equal(pre, _pre_activations(params, accel[2], gyro, rpm))
+        out = model_specific_force(params, vb, accel, gyro, rpm, pre, fold=fold)
         assert np.array_equal(out, model_specific_force(params, vb, accel, gyro, rpm))
         calls.append(len(vb))
         return out
