@@ -268,14 +268,13 @@ def _load_model(path):
 
 def _attitude(ds: dataio.DatasetBundle, mode):
     """R_wb (N, 3, 3) and gravity in the body frame (N, 3) at the IMU times,
-    from the attitude filter ('ekf') or from ground truth ('groundtruth')."""
+    from the attitude filter ('ekf') or from ground truth ('groundtruth');
+    `main` checks the value."""
     if mode == "groundtruth":
         R_wb, _ = _groundtruth_at(ds, ds.imu.t)
         return R_wb, np.einsum("nij,j->ni", R_wb.transpose(0, 2, 1), synth.G_WORLD)
-    if mode == "ekf":
-        quats, g_b = AttitudeFilter().run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
-        return quat_to_matrix(quat_conj(quats)), g_b    # R_bw^T, bit for bit
-    raise ConfigError("attitude must be 'ekf' or 'groundtruth'")
+    quats, g_b = AttitudeFilter().run(ds.imu.t, ds.imu.gyro, ds.imu.accel)
+    return quat_to_matrix(quat_conj(quats)), g_b    # R_bw^T, bit for bit
 
 
 def _sequence_from_dataset(ds: dataio.DatasetBundle, vel_path, attitude):
@@ -512,6 +511,8 @@ def main(argv=None):
     try:
         cfg = _coerce(args.defaults, _parse_config(args.config, args.defaults))
         cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
+        if cfg.get("attitude", "ekf") not in ("ekf", "groundtruth"):
+            raise ConfigError(f"attitude must be 'ekf' or 'groundtruth', got {cfg['attitude']!r}")
         summary = args.fn(args, cfg)
     except (evalign.DegeneratePointSet, dronemodel.ShortSequence, dataio.DatasetError) as e:
         print(f"data error: {e}", file=sys.stderr)

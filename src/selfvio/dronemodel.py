@@ -29,11 +29,11 @@ and the folded weights, vb's share W0[:, :3] / div and the output layer
 with the 0.5 of tanh(z/2) taken into W3 and b3. A step adds vb's share to
 its row of pre-activations and runs the layers and the step above. The
 fusion filter builds the pre-activations and the folded weights once per
-IMU stream. model.json stores the unfolded
-weights, and the gradients are theirs. Training jointly optimizes
-the MLP weights and one scale parameter per sequence; the window's
-initial velocity is taken from the (scaled) teacher, so the scale
-gradient flows both through the targets and through the initial state.
+IMU stream. model.json stores the unfolded weights, and the gradients are
+theirs. Training jointly optimizes the MLP weights and one scale parameter
+per sequence, which starts at `align_scale`'s fit; the window's initial
+velocity is taken from the (scaled) teacher, so the scale gradient flows
+both through the targets and through the initial state.
 
 All gradients are hand-derived reverse-mode (the finite-difference checks
 in the test suite are the independent oracle).
@@ -467,43 +467,37 @@ def _run_window(params: DroneModelParams, vb, az, gyro, rpm, g_b, dt, R_step,
 
     the Euler step vb + (f + g_b) dt with f = `_bracket` of the MLP outputs,
     folded (`_step_factors`; C = (g_b + (0, 0, a_z - mid_z)) dt). The step
-    inputs are time-major, (L, B, ...); vb is (B, 3), or (S, B, 3) for S
-    stacks of states that share the inputs (the scale grid). Every factor
+    inputs are time-major, (L, B, ...), and vb is (B, 3). Every factor
     that the state does not enter is built for the whole window before the
     loop: the first layer's `_pre_activations`, written into the first
     hidden layer's buffer, the folded weights and P, Q, T, C. Returns the
-    states (L+1, ..., 3), vb first, the output layer's tanh th (L, ..., 3)
-    and the layer inputs [x, 3 x (n, ..., 45)]. With keep, for
-    `_window_vjp`, x is the z-scored inputs (L, B, 11), built after the
-    loop, and the hidden layers are every step's (n = L). Without, x is
-    None and they are the last step's (n = 1), except that a (B, 3) vb's
-    first layer is its (L, B, 45) pre-activations, each row overwritten by
-    its step's layer.
+    states (L+1, B, 3), vb first, the output layer's tanh th (L, B, 3)
+    and the layer inputs [x, 3 x (n, B, 45)]. The first hidden layer is the
+    (L, B, 45) pre-activations, each row overwritten by its step's layer.
+    With keep, for `_window_vjp`, x is the z-scored inputs (L, B, 11), built
+    after the loop, and the other hidden layers are every step's (n = L).
+    Without, x is None and they are the last step's (n = 1).
     """
-    L, lead = len(dt), vb.shape[:-1]
-    stacked = vb.ndim == 3
-    # np.matmul over an (S, B, k) stack runs np.dot's product on each (B, k) matrix
-    dot, rotate = (np.matmul, "bji,sbj->sbi") if stacked else (np.dot, "bji,bj->bi")
+    L = len(dt)
     pre = _pre_activations(params, az, gyro, rpm)
     fold = _fold(params)
     P, Q, T = _step_factors(dt)
     C = (g_b + (1.0 - _XY) * (az[..., None] - _OUT_MID)) * dt[..., None]
-    hidden = [np.empty(((L if keep else 1),) + lead + (n,)) if li or stacked else pre
+    hidden = [np.empty(((L if keep else 1), len(vb), n)) if li else pre
               for li, n in enumerate(LAYER_SIZES[1:-1])]
-    th = np.empty((L,) + lead + (3,))
+    th = np.empty((L,) + vb.shape)
     vel = np.empty((L + 1,) + vb.shape)
     vel[0] = vb
     for j in range(L):
         vb, t = vel[j], th[j]
         k = j if keep else 0
-        _mlp_layers(fold, vb, pre[j], (hidden[0][k if stacked else j], hidden[1][k],
-                                       hidden[2][k]), dot, t)
+        _mlp_layers(fold, vb, pre[j], (hidden[0][j], hidden[1][k], hidden[2][k]), th=t)
         u = t * P[j]
         u += Q[j]
         u *= vb
         u += t * T[j]
         u += C[j]
-        np.einsum(rotate, R_step[j], u, out=vel[j + 1])
+        np.einsum("bji,bj->bi", R_step[j], u, out=vel[j + 1])
     return vel, th, [_inputs(params, az, gyro, rpm, vel[:-1]) if keep else None] + hidden
 
 
@@ -563,33 +557,26 @@ def window_loss_and_grads(params: DroneModelParams, prep: PreparedSequence,
 
 
 def _batched_windows_loss_and_grads(params: DroneModelParams, preps,
-                                    k0s, n_steps, grads, scales=None):
+                                    k0s, n_steps, grads):
     """Vectorized BPTT over a batch of equal-length windows.
 
     Window b starts at teacher sample k0s[b] of preps[b] (which may repeat;
     vb0 = s * base[k0]) and rolls n_steps IMU steps; its loss is the
     per-component MSE against every teacher sample inside it. Returns the
-    mean window loss; gradients (divided by the batch size) of the MLP and
-    of each sequence's scale accumulate into `grads`. With grads=None only
-    the loss is computed. With `scales` (S,), the batch runs at each scale
-    s in place of the stored ones, all S in one broadcast forward, and the
-    mean window loss of each, (S,), is returned; grads must then be None.
+    mean window loss, a float; gradients (divided by the batch size) of the
+    MLP and of each sequence's scale accumulate into `grads`. With
+    grads=None only the loss is computed.
     """
     B, L = len(preps), n_steps
     i0s = [int(p.sample_step[k0]) for p, k0 in zip(preps, k0s)]
     inputs = [np.stack([getattr(p, name)[i0:i0 + L] for p, i0 in zip(preps, i0s)], axis=1)
               for name in _STEP_INPUTS]
-    if scales is None:
-        sc = np.array([params.scales[p.seq_id] for p in preps])
-    else:
-        sc = np.repeat(np.asarray(scales, dtype=np.float64)[:, None], B, axis=1)
+    sc = np.array([params.scales[p.seq_id] for p in preps])
     base0 = np.stack([p.base_vel[k0] for p, k0 in zip(preps, k0s)])
-    vel, th, acts = _run_window(params, sc[..., None] * base0, *inputs,
-                                keep=grads is not None)
+    vel, th, acts = _run_window(params, sc[:, None] * base0, *inputs, keep=grads is not None)
 
     # gradients below are of the MEAN window loss (the 1/B rides on dvel)
-    runs, run_sc = vel.reshape(L + 1, -1, B, 3), sc.reshape(-1, B)
-    loss = np.zeros(len(run_sc))
+    loss = 0.0
     ds = np.zeros(B)
     dvel = None if grads is None else np.zeros_like(vel)
     for b, (p, i0) in enumerate(zip(preps, i0s)):
@@ -597,21 +584,20 @@ def _batched_windows_loss_and_grads(params: DroneModelParams, preps,
         if len(ks) == 0:
             raise ContractViolation("window contains no teacher samples")
         m, local, base = len(ks), p.sample_step[ks] - i0, p.base_vel[ks]
-        for r, s in enumerate(run_sc[:, b]):
-            resid = runs[local, r, b] - s * base
-            loss[r] += float(np.sum(resid ** 2) / (3 * m))
+        resid = vel[local, b] - sc[b] * base
+        loss += float(np.sum(resid ** 2) / (3 * m))
         if grads is not None:
             np.add.at(dvel[:, b], local, 2.0 * resid / (3 * m * B))
             ds[b] = float(np.sum(-2.0 * resid / (3 * m * B) * base))
     loss /= B
     if grads is None:
-        return loss if scales is not None else float(loss[0])
+        return loss
 
     lam = _window_vjp(params, vel, th, acts, *inputs[-2:], dvel, grads)   # dt, R_step
     ds += np.einsum("bi,bi->b", lam, base0)
     for b, p in enumerate(preps):
         grads["scales"][p.seq_id] += ds[b]
-    return float(loss[0])
+    return loss
 
 
 # train() gives up once the batch loss has stayed above DIVERGENCE_FACTOR
@@ -676,23 +662,30 @@ def compute_norm_stats(prepared, init_scale=1.0):
     return X.mean(axis=0), np.maximum(X.std(axis=0), _STD_FLOOR)
 
 
-def _grid_init_scales(params, prepared, rng):
-    """Coarse per-sequence scale init: probe window losses over a grid
-    with the freshly initialized MLP and keep each sequence's argmin. The
-    13 scales run as one broadcast forward per sequence."""
-    grid = np.geomspace(0.25, 4.0, 13)
-    for p in prepared:
-        rate = 1.0 / float(np.median(p.dt))
-        n_steps = min(int(round(1.5 * rate)), len(p.dt) - 1)
-        kmax = max(1, int(np.searchsorted(p.sample_step, len(p.dt) - n_steps)) - 1)
-        anchors = [int(rng.integers(0, kmax)) for _ in range(4)]
-        losses = _batched_windows_loss_and_grads(params, [p] * len(anchors), anchors,
-                                                 n_steps, None, grid)
-        best = (np.inf, params.scales[p.seq_id])
-        for s, loss in zip(grid, losses):
-            if loss < best[0]:
-                best = (loss, float(s))
-        params.scales[p.seq_id] = best[1]
+# `align_scale` pairs teacher samples this many seconds apart
+ALIGN_SPAN_S = 0.3
+
+
+def align_scale(seq: TrainSequence, prep: PreparedSequence) -> float:
+    """The teacher's metric scale s from the IMU, by the linear visual-inertial
+    alignment of VINS-Mono (Qin, Li & Shen, T-RO 2018, sec. V). In the frame of
+    the first body pose (G, the gyro chain), teacher samples i and j, ALIGN_SPAN_S
+    apart, give the IMU's velocity change Y = sum_k G_k (accel_k + g_b_k) dt_k
+    and the unit-scale teacher's U = G v_j - G v_i, and Y = s U. The fit regresses
+    U on Y, s = sum Y.Y / sum U.Y, so that teacher noise, which enters U, does not
+    pull s down; nan when sum U.Y <= 0."""
+    G = np.concatenate((np.eye(3)[None], prep.R_step))
+    k = 1
+    while k < len(G):            # prefix products, log2(n) batched steps
+        G[k:] = G[:-k] @ G[k:]
+        k *= 2
+    dv = np.einsum("kij,kj->ki", G[:-1], seq.accel[:-1] + prep.g_b) * prep.dt[:, None]
+    C = np.concatenate((np.zeros((1, 3)), np.cumsum(dv, axis=0)))[prep.sample_step]
+    W = np.einsum("kij,kj->ki", G[prep.sample_step], prep.base_vel)
+    span = max(1, round(ALIGN_SPAN_S / float(np.median(np.diff(seq.cam_t)))))
+    Y, U = C[span:] - C[:-span], W[span:] - W[:-span]
+    uy = float(np.sum(U * Y))
+    return float(np.sum(Y * Y)) / uy if uy > 0 else float("nan")
 
 
 def train(sequences, cfg: TrainConfig, params=None):
@@ -710,7 +703,11 @@ def train(sequences, cfg: TrainConfig, params=None):
         params = init_params(rng, mean, std,
                              {p.seq_id: cfg.init_scale for p in prepared})
         if cfg.steps > 0:
-            _grid_init_scales(params, prepared, rng)
+            # a sequence whose fit is nan or leaves [0.25, 4] starts at init_scale
+            for seq, p in zip(sequences, prepared):
+                s = align_scale(seq, p)
+                if 0.25 <= s <= 4.0:
+                    params.scales[p.seq_id] = s
     else:
         params = params.copy()
         for p in prepared:

@@ -6,9 +6,8 @@ first-layer pre-activations and runs the folded layer stack and Euler
 step, and keeps its own cache; `velocity_step_vjp` reverses one step from
 that cache. BPTT rolls the steps into a list of caches and reverses them
 one by one, adding the weight grads once per block of about `_GRAD_ROWS`
-rows, and the scale grid runs one loss per scale. The ops and their order
-are the production ones, so the window loop must agree with this chain bit
-for bit.
+rows. The ops and their order are the production ones, so the window loop
+must agree with this chain bit for bit.
 
 The `textbook_*` chain is the recurrence as the model states it, unfolded:
 each step z-scores all eleven inputs, runs the layers on them and takes the
@@ -136,7 +135,7 @@ FOLDED = (velocity_step, velocity_step_vjp)
 TEXTBOOK = (textbook_velocity_step, textbook_velocity_step_vjp)
 
 
-# --- a chain's window, batch, rollout and scale grid ---------------------------
+# --- a chain's window, batch and rollout --------------------------------------
 
 
 def add_mlp_grads(grads, calls):
@@ -239,20 +238,3 @@ def rollout(params, prep, vb0, start=0, horizon=None, step=velocity_step):
 
 def textbook_rollout(params, prep, vb0, start=0, horizon=None):
     return rollout(params, prep, vb0, start, horizon, step=textbook_velocity_step)
-
-
-def grid_init_scales(params, prepared, rng):
-    """The scale grid as one loss call per scale: 13 forwards per sequence."""
-    for p in prepared:
-        rate = 1.0 / float(np.median(p.dt))
-        n_steps = min(int(round(1.5 * rate)), len(p.dt) - 1)
-        kmax = max(1, int(np.searchsorted(p.sample_step, len(p.dt) - n_steps)) - 1)
-        anchors = [int(rng.integers(0, kmax)) for _ in range(4)]
-        best = (np.inf, params.scales[p.seq_id])
-        for s in np.geomspace(0.25, 4.0, 13):
-            params.scales[p.seq_id] = float(s)
-            loss = batched_windows_loss_and_grads(params, [p] * len(anchors), anchors,
-                                                  n_steps, None)
-            if loss < best[0]:
-                best = (loss, float(s))
-        params.scales[p.seq_id] = best[1]

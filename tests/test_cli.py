@@ -564,6 +564,10 @@ MALFORMED_CONFIGS = {   # case: (verb, config body); non-number, non-finite, out
     "eval bin_width=-1": ("eval", "bin_width=-1\n"),
     "eval speed_floor=0": ("eval", "speed_floor=0\n"),
     "eval speed_floor=-1": ("eval", "speed_floor=-1\n"),
+    # the attitude value is checked with the rest of the config, before any load
+    **{f"{verb} attitude=bogus": (verb, "weights=0.0\nattitude=bogus\n" if verb == "fuse"
+                                  else "attitude=bogus\n")
+       for verb in ("train-model", "rollout", "fuse")},
     # every verb rejects a key it does not know, before it reads any input
     **{f"{verb} bogus_key=1": (verb, "bogus_key=1\n") for verb in
        ("generate", "estimate", "train-model", "rollout", "fuse", "eval")},
@@ -619,9 +623,11 @@ def test_echo_holds_the_resolved_config(tmp_path, small_dataset):
         assert sorted(ln.split("=", 1)[0] for ln in echo) == sorted(defaults)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_model_window_without_teacher_samples_is_config_error(tmp_path):
     """A window too short to hold a teacher sample has no loss. The table's
-    2-s dataset stops at the 5-s minimum first, so this runs on a 6-s one."""
+    2-s dataset stops at the 5-s minimum first, so this runs on a 6-s one.
+    Its teacher gives no scale fit, which must pass without a warning."""
     ds = os.path.join(tmp_path, "ds")
     gen = _write(os.path.join(tmp_path, "g.cfg"), GEN_SMALL + "duration=6.0\n")
     assert main(["generate", "--config", gen, "--out", ds]) == 0

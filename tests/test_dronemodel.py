@@ -2,7 +2,6 @@
 pipeline, training recovery smoke, serialization."""
 
 import os
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,9 +13,9 @@ from conftest import constant_output_model, recovery_sequence
 from selfvio.dronemodel import (_GRAD_ROWS, DivergenceError, DroneModelParams,
                                 ShortSequence, TrainConfig, TrainSequence,
                                 _batched_windows_loss_and_grads, _features, _flatten,
-                                _grid_init_scales, _mlp_forward, _unflatten_into,
-                                _zero_grads, compute_norm_stats, effective_drag,
-                                init_params, load_params, model_forward,
+                                _mlp_forward, _unflatten_into, _zero_grads, align_scale,
+                                compute_norm_stats, effective_drag, init_params,
+                                load_params, model_forward,
                                 prepare_sequence, rollout, save_params, smooth_teacher,
                                 teacher_velocity, train, window_loss_and_grads)
 from selfvio.geometry import ContractViolation, rotvec_to_matrix
@@ -389,47 +388,45 @@ def test_effective_drag_is_the_textbook_mean():
     assert _rel_err(effective_drag(params, pa), out[:, :2].mean(axis=0)) <= 1e-12
 
 
-def test_scale_grid_is_the_per_scale_loop():
-    """The one broadcast forward of the scale grid gives, bitwise, the 13
-    per-scale losses, and _grid_init_scales picks the per-scale loop's
-    scale on two sequences."""
-    _, _, pa = _prep(noise_std=0.05, sid="a")
-    _, _, pb = _prep(seed=2, noise_std=0.02, sid="b")
-    for seed in (0, 3):
-        params = init_params(np.random.default_rng(seed), *compute_norm_stats([pa, pb]),
-                             scales={"a": 1.0, "b": 1.0})
-        ref = params.copy()
-        _grid_init_scales(params, [pa, pb], np.random.default_rng(seed))
-        bptt_oracle.grid_init_scales(ref, [pa, pb], np.random.default_rng(seed))
-        assert params.scales == ref.scales
-    grid = np.geomspace(0.25, 4.0, 13)
-    anchors = [3, 40, 90, 17]
-    losses = _batched_windows_loss_and_grads(params, [pa] * 4, anchors, 750, None, grid)
-    for s, loss in zip(grid, losses):
-        ref.scales["a"] = float(s)
-        assert loss == bptt_oracle.batched_windows_loss_and_grads(ref, [pa] * 4, anchors,
-                                                                  750, None)
+# --- scale alignment ----------------------------------------------------------------
 
 
-# tracemalloc peak of the 13-call grid (one loss-only forward per scale, a
-# cache list per step) on this test's sequence, measured on that code; a
-# forward that stacked the 52 (scale, anchor) rows would exceed it.
-GRID_PEAK_BYTES_13_CALLS = 5_214_258
+@pytest.mark.parametrize("noise_std", [0.2, 1.0])
+def test_align_scale_recovers_planted_scale(noise_std):
+    """On criterion 5's sequences the fit is within 5% of 1 / plant, also
+    at a teacher noise that pulls the forward regression sum U.Y / sum U.U
+    down to ~2.1 (~20% short)."""
+    for sid, seed, kw in (("e1", 1, dict(peak=7.5, period=7.5)),
+                          ("e2", 2, dict(peak=8.0, period=7.0, yaw0=0.9))):
+        seq, _ = recovery_sequence(sid, seed, duration=16.0, scale_plant=0.37,
+                                   noise_std=noise_std, **kw)
+        s = align_scale(seq, prepare_sequence(seq, cutoff_hz=10.0))
+        assert abs(s * 0.37 - 1.0) < 0.05, (sid, s)
 
 
-def test_scale_grid_peak_memory_is_at_most_the_per_scale_loop():
-    seq, _ = recovery_sequence("m", 3, peak=5.0, period=7.0, duration=6.0)
-    prep = prepare_sequence(seq)
-    assert round(1.0 / np.median(prep.dt)) == 500
-    params = init_params(np.random.default_rng(0), *compute_norm_stats([prep]),
-                         scales={"m": 1.0})
-    tracemalloc.start()
-    try:
-        _grid_init_scales(params, [prep], np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= GRID_PEAK_BYTES_13_CALLS, peak
+def test_align_scale_ratio_of_planted_pair():
+    """The scale-ratio test's pair, planted 0.5 and 2.0: fitted ratio 4 within 1%."""
+    s1, _ = recovery_sequence("r1", 1, peak=6.0, period=8.0, duration=10.0,
+                              scale_plant=0.5)
+    s2, _ = recovery_sequence("r2", 2, peak=6.5, period=7.5, duration=10.0,
+                              scale_plant=2.0, yaw0=0.8)
+    ratio = (align_scale(s1, prepare_sequence(s1, cutoff_hz=10.0))
+             / align_scale(s2, prepare_sequence(s2, cutoff_hz=10.0)))
+    assert abs(ratio / 4.0 - 1.0) < 0.01, ratio
+
+
+@pytest.mark.parametrize("plant", [-0.37, 0.1])
+def test_train_keeps_init_scale_when_the_fit_fails(plant):
+    """A sign-flipped teacher (no positive fit) and one whose fit, 1 / 0.1,
+    leaves [0.25, 4] start from init_scale, with no floating-point error."""
+    seq, _ = recovery_sequence("f", 1, peak=5.0, period=8.0, duration=6.0,
+                               scale_plant=plant)
+    fit = align_scale(seq, prepare_sequence(seq))
+    assert np.isnan(fit) if plant < 0 else fit > 4.0
+    cfg = TrainConfig(steps=1, batch=1, lr=1e-12, window_max=0.5, init_scale=1.7)
+    with np.errstate(all="raise"):
+        params, _ = train([seq], cfg)
+    assert abs(params.scales["f"] - 1.7) < 1e-9
 
 
 # --- training ---------------------------------------------------------------------
