@@ -216,10 +216,10 @@ def cmd_estimate(args, cfg):
                                                       smoothness=np.nan)
         diags.append((k, est.converged, est.iterations, est.final_loss, d.photometric,
                       d.depth, d.smoothness, d.valid_photo, d.valid_depth,
-                      est.backtracks, int(est.warm_start)))
+                      est.backtracks, int(est.warm_start), int(est.retried)))
     dataio.write_csv(os.path.join(args.out, "diagnostics.csv"),
                      "pair,converged,iterations,final_loss,photometric,depth,smoothness,"
-                     "valid_photo,valid_depth,backtracks,warm_start", diags)
+                     "valid_photo,valid_depth,backtracks,warm_start,retried", diags)
     return f"estimated {len(estimates)} pairs ({cfg['scheme']}) -> {args.out}"
 
 

@@ -1,4 +1,4 @@
-"""Direct per-frame pose (and optional depth) estimation by gradient
+"""Direct per-frame pose (and optional depth) estimation by quasi-Newton
 descent on the reconstruction losses — the desk-scale stand-in for the
 CNN pose/depth networks, exercising exactly the same objectives.
 
@@ -9,12 +9,19 @@ carry two transforms); each twist enters the warp as the (R, t) arrays of
 `autodiff.Var` loss node whose parents are the (R, t) of each pose and,
 when the target depth is optimized, its log; `se3_exp_vjp` then carries
 (dR, dt) back to the twist.
-Plain gradient descent with backtracking (Armijo) line search:
-deterministic, loss non-increasing across accepted steps. The line search
-halves its step only while the step's peak image flow is at least
+
+The search direction is limited-memory BFGS (Liu & Nocedal, Math.
+Programming 1989) over one parameter vector, the twists followed, in
+'optimize' mode, by the log target depth: the two-loop recursion over the
+last `MEMORY` curvature pairs, started from the diagonal metric that
+equalizes the image flow of translation, rotation and depth steps. A
+backtracking (Armijo) line search along it keeps the run deterministic
+and the loss non-increasing across accepted steps. The line search halves
+its step only while the step's peak image flow is at least
 `MIN_STEP_PX`: a step far below a pixel cannot change what the image says
-about the pose, so when no candidate at or above that floor decreases the
-loss enough, the pair is converged at its current iterate.
+about the pose, so when the proposed step, or every candidate at or above
+that floor, fails to decrease the loss enough, the pair is converged at
+its current iterate.
 
 Every twist the loop visits is evaluated once. Every forward carries its
 reverse (`_Evaluation.vjp`); when a line-search candidate is accepted,
@@ -51,6 +58,8 @@ DEPTH_MODES = ("gt-scaled", "optimize")
 MIN_STEP_PX = 2e-3
 STEP_GROW = 1.6
 STEP_MAX = 2.0
+# curvature pairs (s, y) that the L-BFGS direction keeps
+MEMORY = 6
 
 
 class OptimizationDiverged(RuntimeError):
@@ -86,6 +95,7 @@ class PoseEstimate:
     diagnostics: LossDiagnostics | None = None   # loss components at the returned twist
     backtracks: int = 0            # rejected line-search candidates
     warm_start: bool = False       # started from the previous pair's twist (run_sequence)
+    retried: bool = False          # restarted from zero after a failed start (run_sequence)
 
     def pose(self) -> SE3Pose:
         return se3_exp(self.twist)
@@ -177,76 +187,116 @@ def _loss_only(frames, depths, twists, K, cfg, depth_log=None, consts=None, keep
     return float(ev.loss)
 
 
+def _remember(pairs, s, y):
+    """Append the curvature pair (s, y, 1 / sᵀy) to `pairs` when sᵀy > 0,
+    keeping the newest `MEMORY`; a pair without positive curvature would
+    make the inverse Hessian indefinite, so it is skipped."""
+    sy = float(s @ y)
+    if sy > 0.0:
+        pairs.append((s, y, 1.0 / sy))
+        del pairs[:-MEMORY]
+
+
+def _lbfgs_direction(g, pairs, metric):
+    """H g for the L-BFGS inverse Hessian H of `pairs` (oldest first),
+    by the two-loop recursion from H₀ = γ diag(metric), with γ = sᵀy /
+    yᵀ(metric y) of the newest pair (1 without pairs). When H g is not a
+    descent direction (gᵀ H g ≤ 0, which rounding alone can cause), the
+    pairs are cleared and the direction is metric * g."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        _, y, rho = pairs[-1]
+        r = q * metric / (rho * float(y @ (metric * y)))
+    else:
+        r = metric * q
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        r += (a - rho * float(y @ r)) * s
+    if not float(g @ r) > 0.0:
+        pairs.clear()
+        return metric * g
+    return r
+
+
 def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
                   cfg: LossConfig, consts=None, start=None) -> PoseEstimate:
-    """Gradient descent on the scheme's total loss over the pose twist(s)
-    (and log target depth in 'optimize' mode). Deterministic; returns the
+    """L-BFGS on the scheme's total loss over the pose twist(s) (and log
+    target depth in 'optimize' mode). Deterministic; returns the
     best-so-far iterate. consts: the pair's `pair_constants` (with the
     depths in 'gt-scaled' mode, without them in 'optimize' mode), when the
     caller has built them already. start: the evaluation that
     `_loss_only(..., keep)` kept at `init` with these consts and the
     starting log depth; the first gradient then runs only its reverse.
 
-    Each iteration's line search tries steps of `step_px`, `step_px / 2`,
-    ... pixels of flow while they are at least `MIN_STEP_PX`, and accepts
-    the first that meets the Armijo condition. The pair is converged when
-    no such step does, or when an accepted step decreases the loss by less
-    than `opt.tol`.
-
-    Steps are taken in a fixed diagonal metric that equalizes the pixel
-    displacement caused by unit translation (~fx/depth) and unit rotation
-    (~fx) parameters; plain gradient descent is hopelessly ill-conditioned
-    across those blocks otherwise."""
+    The metric of the direction's H₀ equalizes the pixel displacement
+    caused by unit translation (~fx/depth), rotation (~fx) and log-depth
+    (~fx) parameters; without it the blocks are hopelessly ill-conditioned.
+    Each iteration's line search tries a first step of `step_px` pixels of
+    flow while the memory is empty, and of the smaller of `step_px` and
+    the full L-BFGS step's flow after that; it halves the step while it is
+    at least `MIN_STEP_PX` and accepts the first that meets the Armijo
+    condition. `step_px` grows by `STEP_GROW` after an accepted step, up to
+    `STEP_MAX`. The pair is converged when the first step is below the
+    floor, when no step meets the condition, or when an accepted step
+    decreases the loss by less than `opt.tol`."""
     n = _n_twists(cfg)
     frames = [np.asarray(f, dtype=np.float64) for f in frames]
     depths = [np.asarray(d, dtype=np.float64) for d in depths]
 
-    theta = np.zeros(6 * n) if init is None else np.asarray(init, dtype=np.float64).copy()
-    if theta.shape != (6 * n,) or not np.all(np.isfinite(theta)):
+    x = np.zeros(6 * n) if init is None else np.asarray(init, dtype=np.float64).copy()
+    if x.shape != (6 * n,) or not np.all(np.isfinite(x)):
         raise ContractViolation(f"init twist must be a finite ({6 * n},) vector")
-    dlog = np.log(depths[1]) if opt.depth_mode == "optimize" else None
+    optimize = opt.depth_mode == "optimize"
     if consts is None:
-        consts = pair_constants(frames, cfg, None if dlog is not None else depths)
+        consts = pair_constants(frames, cfg, None if optimize else depths)
 
     z_bar = float(np.mean(depths[1]))
     f_bar = 0.5 * (K.fx + K.fy)
-    precond = np.tile(np.concatenate([
-        np.full(3, z_bar ** 2), np.full(3, 1.0)]), n)
+    metric = np.tile(np.concatenate([np.full(3, z_bar ** 2), np.full(3, 1.0)]), n)
+    if optimize:
+        x = np.concatenate([x, np.log(depths[1]).ravel()])
+        metric = np.concatenate([metric, np.ones(depths[1].size)])
 
-    def flow_of(d_t, d_d):
+    def split(x):
+        """(twists, log depth or None) of a parameter vector."""
+        return x[:6 * n], x[6 * n:].reshape(depths[1].shape) if optimize else None
+
+    def flow_of(d):
         """Approximate peak image flow (px) induced by a parameter step."""
-        flow = 0.0
-        for j in range(n):
-            rho, phi = d_t[6 * j:6 * j + 3], d_t[6 * j + 3:6 * j + 6]
-            flow = max(flow, f_bar * (np.linalg.norm(phi)
-                                      + np.linalg.norm(rho) / z_bar))
-        if d_d is not None:
-            flow = max(flow, f_bar * float(np.abs(d_d).max()))
-        return flow
+        flow = max(f_bar * (np.linalg.norm(d[j + 3:j + 6]) + np.linalg.norm(d[j:j + 3]) / z_bar)
+                   for j in range(0, 6 * n, 6))
+        return max(flow, f_bar * float(np.abs(d[6 * n:]).max())) if optimize else flow
+
+    def gradient(x, kept):
+        twists, dlog = split(x)
+        loss, g_t, g_d, diag = loss_and_grad(frames, depths, twists, K, cfg, dlog, consts, kept)
+        return loss, g_t if g_d is None else np.concatenate([g_t, g_d.ravel()]), diag
 
     trace = []
-    loss, g_t, g_d, diag = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts, start)
+    loss, g, diag = gradient(x, start)
     if not np.isfinite(loss):
         raise OptimizationDiverged("initial loss is not finite", trace)
-    best = (loss, theta.copy(), None if dlog is None else dlog.copy(), diag)
+    best = (loss, x, diag)
+    pairs = []
     step_px = opt.step_size
     iters = backtracks = 0
     converged = False
     for iters in range(1, opt.max_iters + 1):
-        d_t = precond * g_t
-        d_d = g_d
-        unit = flow_of(d_t, d_d)
+        d = _lbfgs_direction(g, pairs, metric)
+        unit = flow_of(d)
         if unit == 0.0:
             converged = True
             break
-        slope = float(g_t @ d_t) / unit
-        if d_d is not None:
-            slope += float((g_d * d_d).sum()) / unit
+        slope = float(g @ d) / unit
         accepted = False
-        s = step_px
+        s = min(unit, step_px) if pairs else step_px
         while s >= MIN_STEP_PX:
-            cand_t = theta - (s / unit) * d_t
-            cand_d = None if dlog is None else dlog - (s / unit) * d_d
+            cand = x - (s / unit) * d
+            cand_t, cand_d = split(cand)
             kept = []      # drops the previous candidate's forward before this one
             try:
                 cand_loss = _loss_only(frames, depths, cand_t, K, cfg, cand_d, consts, kept)
@@ -263,22 +313,24 @@ def estimate_pose(frames, depths, init, K, opt: OptimizerConfig,
             converged = True
             break
         decrease = loss - cand_loss
-        theta, dlog, loss = cand_t, cand_d, cand_loss
+        x_prev, g_prev = x, g
+        x, loss = cand, cand_loss
         step_px = min(s * STEP_GROW, STEP_MAX)
         trace.append(loss)
         if loss < best[0]:
-            best = (loss, theta.copy(), None if dlog is None else dlog.copy(), kept[0].diag)
+            best = (loss, x, kept[0].diag)
         if decrease < opt.tol:
             converged = True
             break
         # the accepted candidate's kept forward: only its reverse runs
-        loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts,
-                                          kept.pop())
+        loss, g, _ = gradient(x, kept.pop())
+        _remember(pairs, x - x_prev, g - g_prev)
 
-    loss, theta, dlog, diag = best
+    loss, x, diag = best
+    theta, dlog = split(x)
     return PoseEstimate(
-        twist=theta[:6], converged=converged, final_loss=loss, iterations=iters,
-        twist2=theta[6:12] if n == 2 else None,
+        twist=theta[:6].copy(), converged=converged, final_loss=loss, iterations=iters,
+        twist2=theta[6:12].copy() if n == 2 else None,
         depth=None if dlog is None else np.exp(dlog),
         diagnostics=diag, backtracks=backtracks,
     )
@@ -292,7 +344,8 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
     Estimate i covers the scheme's `SCHEME_FRAMES` frames from i-1 on:
     (i-1, i) for 2f, (i-1, i, i+1) for the triplet schemes, which report
     the cur->prev transform, so m frames give m - SCHEME_FRAMES + 1
-    estimates. Failed pairs are marked not-converged and keep their
+    estimates. A pair whose start fails is restarted from zero and marked
+    `retried`; if that fails too, it is marked not-converged and keeps its
     warm-start twist. Each pair's `pair_constants` are built once and
     serve its warm-start check and its estimates, and a warm twist that
     wins the check is not evaluated again: its kept forward is
@@ -343,6 +396,7 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
                 est = PoseEstimate(twist=warm[:6].copy(), converged=False,
                                    final_loss=np.nan, iterations=0,
                                    twist2=warm[6:12].copy() if n == 2 else None)
+            est.retried = True
         estimates.append(est)
         warm = est.twist if n == 1 else np.concatenate([est.twist, est.twist2])
 
@@ -356,20 +410,3 @@ def run_sequence(frames, depths, times, K, opt: OptimizerConfig,
                               pos=np.stack(positions))
     return estimates, traj, np.stack(cam_vel) if cam_vel else np.zeros((0, 3))
 
-
-def sweep_losses(frames, depths, base_twists, gammas, K, cfg: LossConfig):
-    """Total loss along the 1-D family pose(gamma) = exp(gamma * twist).
-
-    base_twists: the true twist(s), stacked (6*n,). Used to probe where
-    each scheme's objective puts its minimum along the true motion
-    direction.
-    """
-    base = np.asarray(base_twists, dtype=np.float64)
-    consts = pair_constants(frames, cfg, depths)
-    out = np.empty(len(gammas))
-    for i, g in enumerate(gammas):
-        try:
-            out[i] = _loss_only(frames, depths, g * base, K, cfg, consts=consts)
-        except DegenerateBatchError:
-            out[i] = np.inf      # candidate leaves no jointly-valid pixels
-    return out

@@ -1,4 +1,5 @@
-"""Shared builders: cameras, gate fly-through instances, reference models."""
+"""Shared builders: cameras, gate fly-through instances, reference models,
+loss sweeps."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from selfvio.attitude import AttitudeFilter
 from selfvio.dronemodel import TrainSequence, init_params
 from selfvio.geometry import CameraIntrinsics, se3_log
+from selfvio.losses import DegenerateBatchError, LossConfig, pair_constants
+from selfvio.poseopt import _loss_only
 from selfvio.synth import (R_CB, NoiseSpec, RefDynamicsParams, SceneSpec,
                            TrajectorySpec, camera_pose, render,
                            simulate_imu_motors)
@@ -102,3 +105,21 @@ def recovery_sequence(sid, seed, peak, period, duration=16.0, scale_plant=0.37,
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def sweep_losses(frames, depths, base_twists, gammas, K, cfg: LossConfig):
+    """Total loss along the 1-D family pose(gamma) = exp(gamma * twist).
+
+    base_twists: the true twist(s), stacked (6*n,). Used to probe where
+    each scheme's objective puts its minimum along the true motion
+    direction.
+    """
+    base = np.asarray(base_twists, dtype=np.float64)
+    consts = pair_constants(frames, cfg, depths)
+    out = np.empty(len(gammas))
+    for i, g in enumerate(gammas):
+        try:
+            out[i] = _loss_only(frames, depths, g * base, K, cfg, consts=consts)
+        except DegenerateBatchError:
+            out[i] = np.inf      # candidate leaves no jointly-valid pixels
+    return out

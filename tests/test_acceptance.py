@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (close_gate_pair, constant_output_model,
                       forward_gate_instance, recovery_sequence,
-                      small_intrinsics, smooth_image)
+                      small_intrinsics, smooth_image, sweep_losses)
 
 from selfvio import dronemodel, fusion
 from selfvio.attitude import AttitudeFilter, AttitudeState
@@ -25,7 +25,7 @@ from selfvio.losses import (SCHEME_2F, SCHEME_3F, SCHEME_BENCHMARK, LossConfig,
                             appearance_loss, appearance_map,
                             depth_consistency_error, masked_min_photometric,
                             smoothness_loss, ssim_loss)
-from selfvio.poseopt import _loss_only, loss_and_grad, sweep_losses
+from selfvio.poseopt import _loss_only, loss_and_grad
 from selfvio.synth import (NoiseSpec, RefDynamicsParams, SceneSpec,
                            TrajectorySpec, camera_pose, disocclusion_oracle,
                            render, simulate_imu_motors)

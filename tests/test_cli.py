@@ -103,7 +103,7 @@ def test_estimate_diagnostics_sum_to_final_loss(tmp_path):
                  "--config", ecfg]) == 0
     lines = open(os.path.join(est, "diagnostics.csv")).read().splitlines()
     assert lines[0] == ("pair,converged,iterations,final_loss,photometric,depth,"
-                        "smoothness,valid_photo,valid_depth,backtracks,warm_start")
+                        "smoothness,valid_photo,valid_depth,backtracks,warm_start,retried")
     assert len(lines) == 4
     for k, line in enumerate(lines[1:]):
         cells = line.split(",")
@@ -113,6 +113,8 @@ def test_estimate_diagnostics_sum_to_final_loss(tmp_path):
         assert 0 <= int(cells[9]) <= 25 * int(cells[2])
         # the first pair has no previous twist to start from
         assert cells[10] in ("0", "1") and (k > 0 or cells[10] == "0")
+        # no pair of this clean dataset needs a restart from zero
+        assert cells[11] == "0"
 
 
 def test_eval_identical_est_gt_zero(tmp_path):

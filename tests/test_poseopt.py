@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tape_oracle
-from conftest import forward_gate_instance, small_intrinsics, smooth_image
+from conftest import forward_gate_instance, small_intrinsics, smooth_image, sweep_losses
 
 from selfvio import autodiff as ad
 from selfvio import poseopt
@@ -13,7 +13,7 @@ from selfvio.geometry import (ContractViolation, SE3Pose, invert_entries, se3_ex
 from selfvio.losses import (SCHEME_2F, SCHEME_BENCHMARK, SCHEME_FRAMES, SCHEMES, LossConfig,
                             pair_constants)
 from selfvio.poseopt import (DEPTH_MODES, OptimizerConfig, _loss_only, estimate_pose,
-                             loss_and_grad, run_sequence, sweep_losses)
+                             loss_and_grad, run_sequence)
 from selfvio.synth import SceneSpec, camera_pose, render
 
 
@@ -344,22 +344,35 @@ def _flow_of(depths, K, cfg):
     return flow_of
 
 
-def _reference_estimate_pose(frames, depths, init, K, opt, cfg):
-    """The descent loop with a new forward at every accepted point, for its
-    gradient and, at the best point, for the returned diagnostics."""
+def _solver_setup(depths, init, opt, cfg):
+    """estimate_pose's starting parameter vector [twists, log target
+    depth], the log target depth (None unless in 'optimize' mode), and the
+    flow-equalizing diagonal metric."""
     n = 1 if cfg.scheme == SCHEME_2F else 2
     tgt = -1 if cfg.scheme == SCHEME_2F else 1
     dlog = np.log(depths[tgt]) if opt.depth_mode == "optimize" else None
-    consts = pair_constants(frames, cfg, None if dlog is not None else depths)
     z_bar = float(np.mean(depths[tgt]))
-    precond = np.tile(np.concatenate([np.full(3, z_bar ** 2), np.full(3, 1.0)]), n)
+    metric = np.tile(np.concatenate([np.full(3, z_bar ** 2), np.full(3, 1.0)]), n)
+    x = np.asarray(init, dtype=np.float64).copy()
+    if dlog is not None:
+        x = np.concatenate([x, dlog.ravel()])
+        metric = np.concatenate([metric, np.ones(dlog.size)])
+    return x, dlog, metric
+
+
+def _gradient_descent_estimate(frames, depths, init, K, opt, cfg):
+    """The solver before L-BFGS: diagonally preconditioned gradient descent
+    with the same line search. Returns its best loss."""
+    n = 1 if cfg.scheme == SCHEME_2F else 2
+    _, dlog, metric = _solver_setup(depths, init, opt, cfg)
+    precond = metric[:6 * n]
+    consts = pair_constants(frames, cfg, None if dlog is not None else depths)
     flow_of = _flow_of(depths, K, cfg)
 
     theta = np.asarray(init, dtype=np.float64).copy()
     loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
-    best = (loss, theta.copy(), None if dlog is None else dlog.copy())
-    step_px, converged = opt.step_size, False
-    for iters in range(1, opt.max_iters + 1):
+    best, step_px = loss, opt.step_size
+    for _ in range(opt.max_iters):
         d_t, d_d = precond * g_t, g_d
         unit = flow_of(d_t, d_d)
         slope = float(g_t @ d_t) / unit
@@ -374,18 +387,64 @@ def _reference_estimate_pose(frames, depths, init, K, opt, cfg):
                 break
             s *= 0.5
         else:
-            converged = True
             break
         decrease = loss - cand_loss
         theta, dlog, loss = cand_t, cand_d, cand_loss
         step_px = min(s * poseopt.STEP_GROW, poseopt.STEP_MAX)
+        best = min(best, loss)
+        if decrease < opt.tol:
+            break
+        loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
+    return best
+
+
+def _reference_estimate_pose(frames, depths, init, K, opt, cfg):
+    """The L-BFGS loop with a new forward at every accepted point, for its
+    gradient and, at the best point, for the returned diagnostics."""
+    n = 1 if cfg.scheme == SCHEME_2F else 2
+    x, dlog, metric = _solver_setup(depths, init, opt, cfg)
+    consts = pair_constants(frames, cfg, None if dlog is not None else depths)
+    flow_of = _flow_of(depths, K, cfg)
+
+    def parts(x):
+        return x[:6 * n], None if dlog is None else x[6 * n:].reshape(dlog.shape)
+
+    def gradient(x):
+        twists, dl = parts(x)
+        loss, g_t, g_d, _ = loss_and_grad(frames, depths, twists, K, cfg, dl, consts)
+        return loss, g_t if g_d is None else np.concatenate([g_t, g_d.ravel()])
+
+    loss, g = gradient(x)
+    best, pairs = (loss, x), []
+    step_px, converged = opt.step_size, False
+    for iters in range(1, opt.max_iters + 1):
+        d = poseopt._lbfgs_direction(g, pairs, metric)
+        unit = flow_of(*parts(d))
+        slope = float(g @ d) / unit
+        s = min(unit, step_px) if pairs else step_px
+        while s >= poseopt.MIN_STEP_PX:
+            cand = x - (s / unit) * d
+            cand_t, cand_d = parts(cand)
+            cand_loss = _loss_only(frames, depths, cand_t, K, cfg, cand_d, consts)
+            if cand_loss <= loss - 1e-4 * s * slope:
+                break
+            s *= 0.5
+        else:
+            converged = True
+            break
+        decrease = loss - cand_loss
+        x_prev, g_prev = x, g
+        x, loss = cand, cand_loss
+        step_px = min(s * poseopt.STEP_GROW, poseopt.STEP_MAX)
         if loss < best[0]:
-            best = (loss, theta.copy(), None if dlog is None else dlog.copy())
+            best = (loss, x)
         if decrease < opt.tol:
             converged = True
             break
-        loss, g_t, g_d, _ = loss_and_grad(frames, depths, theta, K, cfg, dlog, consts)
-    loss, theta, dlog = best
+        loss, g = gradient(x)
+        poseopt._remember(pairs, x - x_prev, g - g_prev)
+    loss, x = best
+    theta, dlog = parts(x)
     poses_rt, deps = poseopt._poses_and_depths(depths, theta, cfg, dlog)
     diag = poseopt.total_loss_generic(frames, deps, poses_rt, K, cfg, consts)[1]
     return theta, dlog, iters, converged, loss, diag
@@ -432,7 +491,9 @@ def test_estimate_pose_evaluates_each_twist_once(monkeypatch, scheme, depth_mode
 def test_line_search_stops_at_the_flow_floor(monkeypatch, scheme, depth_mode):
     """No candidate step is below MIN_STEP_PX of image flow, and the steps
     of one iteration halve from its first, so an iteration rejects at most
-    ceil(log2(STEP_MAX / MIN_STEP_PX)) candidates."""
+    ceil(log2(STEP_MAX / MIN_STEP_PX)) candidates. Only the last iteration
+    may try none: its proposed step was below the floor, so the pair is
+    converged."""
     K, imgs, deps, twists, _ = _gate_case(scheme, depth_mode)
     opt, cfg = OptimizerConfig(max_iters=100, depth_mode=depth_mode), LossConfig(scheme=scheme)
     flow_of = _flow_of(deps, K, cfg)
@@ -453,13 +514,87 @@ def test_line_search_stops_at_the_flow_floor(monkeypatch, scheme, depth_mode):
 
     bound = int(np.ceil(np.log2(poseopt.STEP_MAX / poseopt.MIN_STEP_PX)))
     assert est.converged and est.backtracks > 0
-    for _, _, steps in iterations:
-        assert 1 <= len(steps) <= bound
-        assert min(steps) >= poseopt.MIN_STEP_PX * (1 - 1e-6)
-        assert np.allclose(steps, steps[0] * 0.5 ** np.arange(len(steps)), rtol=1e-6)
+    for k, (_, _, steps) in enumerate(iterations):
+        assert (k + 1 == len(iterations) or len(steps) >= 1) and len(steps) <= bound
+        if steps:
+            assert min(steps) >= poseopt.MIN_STEP_PX * (1 - 1e-6)
+            assert np.allclose(steps, steps[0] * 0.5 ** np.arange(len(steps)), rtol=1e-6)
     # every iteration but the last accepted its last candidate
     rejected = sum(len(steps) - 1 for _, _, steps in iterations[:-1])
     assert est.backtracks - rejected in (len(iterations[-1][2]) - 1, len(iterations[-1][2]))
+
+
+def _dense_bfgs_product(g, pairs, metric):
+    """H g with H built densely: H₀ = γ diag(metric), γ from the newest
+    pair, then each pair's BFGS update H <- Vᵀ H V + ρ s sᵀ, V = I - ρ y sᵀ."""
+    _, y, rho = pairs[-1]
+    H = np.diag(metric) / (rho * (y @ (metric * y)))
+    eye = np.eye(len(g))
+    for s, y, rho in pairs:
+        V = eye - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    return H @ g
+
+
+def test_lbfgs_direction_is_the_dense_bfgs_product():
+    """The two-loop recursion over the newest MEMORY pairs gives the dense
+    BFGS inverse-Hessian product to 1e-12, and metric * g without pairs."""
+    rng = np.random.default_rng(4)
+    for dim in (6, 12, 40):
+        A = rng.standard_normal((dim, dim))
+        A = A @ A.T + 0.1 * np.eye(dim)       # s ᵀA s > 0: every pair is kept
+        metric = rng.uniform(0.1, 10.0, dim)
+        g = rng.standard_normal(dim)
+        pairs = []
+        assert np.array_equal(poseopt._lbfgs_direction(g, pairs, metric), metric * g)
+        for k in range(poseopt.MEMORY + 3):
+            s = rng.standard_normal(dim)
+            poseopt._remember(pairs, s, A @ s)
+            assert len(pairs) == min(k + 1, poseopt.MEMORY)
+            want = _dense_bfgs_product(g, pairs, metric)
+            got = poseopt._lbfgs_direction(g, pairs, metric)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_lbfgs_memory_skips_nonpositive_curvature_and_resets_on_ascent():
+    """A pair with sᵀy <= 0 is not kept, and a memory whose direction is not
+    a descent direction is cleared, the direction falling back to metric * g."""
+    rng = np.random.default_rng(5)
+    metric = rng.uniform(0.5, 2.0, 6)
+    g = rng.standard_normal(6)
+    pairs = []
+    s = rng.standard_normal(6)
+    poseopt._remember(pairs, s, s)
+    kept = list(pairs)
+    for y in (-s, np.zeros(6)):
+        poseopt._remember(pairs, s, y)
+        assert pairs == kept
+    # a negative-curvature pair, put in past the check, turns H g uphill
+    pairs = [(g, g, -4.0 / (g @ g))]
+    assert g @ _dense_bfgs_product(g, pairs, metric) <= 0
+    assert np.array_equal(poseopt._lbfgs_direction(g, pairs, metric), metric * g)
+    assert pairs == []
+
+
+def test_lbfgs_reaches_a_lower_loss_than_gradient_descent():
+    """On 10 gate pairs and 10 gate triplets from zero at a 15-iteration
+    budget, the median of L-BFGS's final loss over the old diagonally
+    preconditioned gradient descent's is below 1."""
+    K = small_intrinsics(48, 36, f=45.0)
+    opt = OptimizerConfig(max_iters=15)
+    ratios = []
+    for scheme in (SCHEME_2F, "3f"):
+        k = SCHEME_FRAMES[scheme]
+        cfg = LossConfig(scheme=scheme)
+        for seed in range(10):
+            _, _, frames, _, _ = forward_gate_instance(seed, K)
+            imgs = [f.image for f in frames[:k]]
+            deps = [f.depth for f in frames[:k]]
+            init = np.zeros(6 * (k - 1))
+            est = estimate_pose(imgs, deps, init, K, opt, cfg)
+            ratios.append(est.final_loss
+                          / _gradient_descent_estimate(imgs, deps, init, K, opt, cfg))
+    assert np.median(ratios) < 1.0, np.round(ratios, 3)
 
 
 def _gate_sequence(n):
@@ -470,6 +605,32 @@ def _gate_sequence(n):
                           scene.gate_center[1]], yaw=0.02 * i) for i in range(n)]
     frames = [render(scene, p, K) for p in poses]
     return K, [f.image for f in frames], [f.depth for f in frames], np.arange(n) / 10.0
+
+
+def test_run_sequence_marks_restarted_pairs_retried(monkeypatch):
+    """A pair whose start fails is estimated again from zero and marked
+    `retried`; a pair whose restart fails too keeps its start, not
+    converged; pairs that never fail are not marked."""
+    K, imgs, deps, times = _gate_sequence(5)
+    opt, cfg = OptimizerConfig(max_iters=10), LossConfig(scheme=SCHEME_2F)
+    assert not any(e.retried for e in run_sequence(imgs, deps, times, K, opt, cfg)[0])
+    estimate = poseopt.estimate_pose
+
+    def failing_start(frames, depths, init, *args):
+        if init is not None:
+            raise poseopt.OptimizationDiverged("start failed", [])
+        return estimate(frames, depths, init, *args)
+
+    monkeypatch.setattr(poseopt, "estimate_pose", failing_start)
+    ests = run_sequence(imgs, deps, times, K, opt, cfg)[0]
+    assert all(e.retried and np.isfinite(e.final_loss) for e in ests)
+
+    def failing(*args):
+        raise poseopt.OptimizationDiverged("failed", [])
+
+    monkeypatch.setattr(poseopt, "estimate_pose", failing)
+    ests = run_sequence(imgs, deps, times, K, opt, cfg)[0]
+    assert all(e.retried and not e.converged and np.isnan(e.final_loss) for e in ests)
 
 
 @pytest.mark.parametrize("depth_mode", DEPTH_MODES)
